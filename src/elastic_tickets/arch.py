@@ -314,11 +314,6 @@ def trainable_paths(arch: ArchDescriptor) -> list[str]:
     return [s.path for s in param_specs(arch) if s.kind not in ("bn_rmean", "bn_rvar")]
 
 
-def decay_paths(arch: ArchDescriptor) -> set[str]:
-    """Weight decay applies to conv/dense weights only (not biases or BN)."""
-    return set(prunable_paths(arch))
-
-
 def forward_macs(arch: ArchDescriptor) -> int:
     """Dense multiply-accumulates of one forward pass on a single example."""
     total = 0

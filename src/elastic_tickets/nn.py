@@ -4,6 +4,10 @@ All kernels preserve the dtype of their inputs: float32 for normal training,
 float64 when a caller (finite-difference checks, saliency scoring) needs tight
 numerics. Pruned weights are kept at exactly zero by re-applying the binary
 mask after every optimizer step.
+
+Only a train-mode forward records a backward tape; eval and collect passes
+keep nothing past each layer. A conv's tape entry holds its padded input,
+kh*kw times smaller than the im2col matrix that backward rebuilds from it.
 """
 
 from __future__ import annotations
@@ -102,6 +106,15 @@ def _dense_b(cache, dy):
 # canonical (F, C, kh, kw) layout everywhere outside these kernels.
 
 
+def _im2col(x_pad, kh, kw, stride, h_out, w_out):
+    """Patch matrix (n*h_out*w_out, kh*kw*c) of a padded channels-last input."""
+    n, c = x_pad.shape[0], x_pad.shape[3]
+    win = np.lib.stride_tricks.sliding_window_view(x_pad, (kh, kw), axis=(1, 2))
+    win = win[:, : stride * h_out : stride, : stride * w_out : stride]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))  # (n, h, w, kh, kw, c)
+    return cols.reshape(n * h_out * w_out, kh * kw * c)
+
+
 def _conv_f(x, w, stride, pad):
     n, h, wd, c = x.shape
     f, c_in, kh, kw = w.shape
@@ -113,27 +126,24 @@ def _conv_f(x, w, stride, pad):
         x_pad = x
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (wd + 2 * pad - kw) // stride + 1
-    cols = np.empty((n, h_out, w_out, kh, kw, c), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i, j, :] = x_pad[:, i : i + stride * h_out : stride,
-                                           j : j + stride * w_out : stride, :]
-    mat = cols.reshape(n * h_out * w_out, kh * kw * c)
+    mat = _im2col(x_pad, kh, kw, stride, h_out, w_out)
     wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f))
     y = (mat @ wmat).reshape(n, h_out, w_out, f)
-    return y, (mat, x_pad.shape, x.shape, w, stride, pad, h_out, w_out)
+    return y, (x_pad, w, stride, pad, h_out, w_out)
 
 
 def _conv_b(cache, dy):
-    mat, pad_shape, x_shape, w, stride, pad, h_out, w_out = cache
-    n = x_shape[0]
+    x_pad, w, stride, pad, h_out, w_out = cache
+    n = x_pad.shape[0]
     f, c, kh, kw = w.shape
     dy_mat = dy.reshape(n * h_out * w_out, f)
+    mat = _im2col(x_pad, kh, kw, stride, h_out, w_out)
     dwmat = mat.T @ dy_mat
+    del mat  # freed before dcols, which is as large
     dw = dwmat.reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
     wmat = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
     dcols = (dy_mat @ wmat.T).reshape(n, h_out, w_out, kh, kw, c)
-    dx_pad = np.zeros(pad_shape, dtype=dy.dtype)
+    dx_pad = np.zeros(x_pad.shape, dtype=dy.dtype)
     for i in range(kh):
         for j in range(kw):
             dx_pad[:, i : i + stride * h_out : stride,
@@ -295,11 +305,16 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
     updates in ``cache['bn_updates']``; eval mode uses the stored stats.
     ``collect`` behaves like train but reports raw batch moments instead of
     exponentially averaged ones (used to re-estimate stats over a full pass).
+    Only train mode records the backward tape in ``cache['tape']``; eval and
+    collect return it empty, so each layer's saved inputs are freed as soon
+    as the next layer has run. Conv entries hold the padded input, not its
+    im2col matrix, which backward rebuilds.
     """
     if mode not in ("train", "eval", "collect"):
         raise ConfigError(f"mode must be 'train', 'eval' or 'collect', got {mode!r}")
     x = np.asarray(x)
     tape = []
+    record = tape.append if mode == "train" else (lambda entry: None)
     bn_updates: dict[str, np.ndarray] = {}
     if arch.family == FAMILY_MLP:
         flat_dim = int(np.prod(arch.input_shape))
@@ -309,10 +324,10 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
         n_layers = len(arch.widths) - 1
         for k in range(n_layers):
             y, c = _dense_f(h, params[f"layer{k}/weight"], params[f"layer{k}/bias"])
-            tape.append(("dense", f"layer{k}", c))
+            record(("dense", f"layer{k}", c))
             if k < n_layers - 1:
                 y, cr = _relu_f(y)
-                tape.append(("relu", None, cr))
+                record(("relu", None, cr))
             h = y
         logits = h
     elif arch.family == FAMILY_RESNET:
@@ -320,20 +335,20 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
             raise ShapeError(f"input shape {x.shape[1:]} != expected {arch.input_shape}")
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # kernels run channels-last
         h, c = _conv_f(x, params["input/conv/weight"], 1, 1)
-        tape.append(("conv", "input/conv/weight", c))
+        record(("conv", "input/conv/weight", c))
         h, c, rm, rv = _bn_f(h, *_bn_params(params, "input/bn"), mode)
         bn_updates["input/bn/rmean"], bn_updates["input/bn/rvar"] = rm, rv
-        tape.append(("bn", "input/bn", c))
+        record(("bn", "input/bn", c))
         h, c = _relu_f(h)
-        tape.append(("relu", None, c))
+        record(("relu", None, c))
         for i, st in enumerate(arch.stages):
             for j in range(st.units):
                 h, c = _resnet_unit_f(params, f"stage{i}/unit{j}", h, mode, bn_updates)
-                tape.append(("resnet_unit", None, c))
+                record(("resnet_unit", None, c))
         h, c = _gap_f(h)
-        tape.append(("gap", None, c))
+        record(("gap", None, c))
         logits, c = _dense_f(h, params["output/fc/weight"], params["output/fc/bias"])
-        tape.append(("dense", "output/fc", c))
+        record(("dense", "output/fc", c))
     elif arch.family == FAMILY_VGG:
         if tuple(x.shape[1:]) != tuple(arch.input_shape):
             raise ShapeError(f"input shape {x.shape[1:]} != expected {arch.input_shape}")
@@ -344,24 +359,24 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
             for j in range(st.units):
                 p = f"stage{i}/unit{j}"
                 h, c = _conv_f(h, params[f"{p}/conv/weight"], 1, 1)
-                tape.append(("conv", f"{p}/conv/weight", c))
+                record(("conv", f"{p}/conv/weight", c))
                 h, c, rm, rv = _bn_f(h, *_bn_params(params, f"{p}/bn"), mode)
                 bn_updates[f"{p}/bn/rmean"], bn_updates[f"{p}/bn/rvar"] = rm, rv
-                tape.append(("bn", f"{p}/bn", c))
+                record(("bn", f"{p}/bn", c))
                 h, c = _relu_f(h)
-                tape.append(("relu", None, c))
+                record(("relu", None, c))
             h, c = _maxpool2x2_f(h)
-            tape.append(("maxpool", None, c))
+            record(("maxpool", None, c))
         shape = h.shape
         h = h.reshape(shape[0], -1)
-        tape.append(("flatten", None, shape))
+        record(("flatten", None, shape))
         n_head = len(arch.head_widths)
         for k in range(n_head):
             y, c = _dense_f(h, params[f"output/fc{k}/weight"], params[f"output/fc{k}/bias"])
-            tape.append(("dense", f"output/fc{k}", c))
+            record(("dense", f"output/fc{k}", c))
             if k < n_head - 1:
                 y, cr = _relu_f(y)
-                tape.append(("relu", None, cr))
+                record(("relu", None, cr))
             h = y
         logits = h
     else:

@@ -1,4 +1,4 @@
-"""Dense float32 tensors, deterministic pseudo-randomness, and the matmul kernel.
+"""Dense float32 tensors and deterministic pseudo-randomness.
 
 Tensors are plain numpy float32 arrays in row-major (C) order. Randomness comes
 from named substreams of a single 64-bit seed: SplitMix64 expands the seed into
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
 
@@ -155,20 +155,3 @@ class Rng:
             j = min(int(u[n - 1 - i] * (i + 1)), i)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two rank-2 tensors.
-
-    Accumulation is delegated to the platform BLAS, which is deterministic for
-    a fixed build and thread count: identical inputs give bit-identical output
-    within an environment. Exactness-sensitive tests use integer-valued
-    tensors, for which any summation order yields the same floats.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 tensors, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b

@@ -315,6 +315,71 @@ def test_forward_mode_validation():
 
 
 # ---------------------------------------------------------------------------
+# im2col and tape bookkeeping: same floats as the per-offset copy loop
+
+
+def loop_im2col(x_pad, kh, kw, stride, h_out, w_out):
+    """Reference im2col: one strided slice copy per kernel offset."""
+    n, c = x_pad.shape[0], x_pad.shape[3]
+    cols = np.empty((n, h_out, w_out, kh, kw, c), dtype=x_pad.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j, :] = x_pad[:, i : i + stride * h_out : stride,
+                                           j : j + stride * w_out : stride, :]
+    return cols.reshape(n * h_out * w_out, kh * kw * c)
+
+
+@pytest.mark.parametrize("side", [7, 8])
+@pytest.mark.parametrize("k, pad, stride", [(3, 1, 1), (3, 1, 2), (1, 0, 2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_im2col_matches_loop(side, k, pad, stride, dtype):
+    x = Rng(50 + side).normal64("init", 2 * side * side * 5).reshape(2, side, side, 5).astype(dtype)
+    x_pad = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    h_out = (side + 2 * pad - k) // stride + 1
+    got = nn._im2col(x_pad, k, k, stride, h_out, h_out)
+    want = loop_im2col(x_pad, k, k, stride, h_out, h_out)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family, depth, input_shape", [
+    ("resnet_cifar", 8, (3, 8, 8)),
+    ("vgg_cifar", 13, (3, 32, 32)),
+])
+def test_eval_logits_bit_equal_to_loop_im2col(monkeypatch, family, depth, input_shape):
+    a = arch.derive_arch(family, depth, input_shape=input_shape)
+    params = arch.init_params(a, Rng(51))
+    x = Rng(52).normal64("init", 3 * int(np.prod(input_shape))).reshape(3, *input_shape)
+    x = x.astype(np.float32)
+    got, _ = nn.forward(a, params, x, "eval")
+    monkeypatch.setattr(nn, "_im2col", loop_im2col)
+    want, _ = nn.forward(a, params, x, "eval")
+    assert np.array_equal(got, want)
+
+
+def test_only_train_mode_records_a_tape():
+    a = arch.derive_arch("resnet_cifar", 8, input_shape=(3, 8, 8))
+    params = arch.init_params(a, Rng(53))
+    x = Rng(54).normal64("init", 4 * 3 * 8 * 8).reshape(4, 3, 8, 8).astype(np.float32)
+    caches = {mode: nn.forward(a, params, x, mode)[1] for mode in ("train", "eval", "collect")}
+    for mode, cache in caches.items():
+        assert set(cache) == {"mode", "tape", "bn_updates"} and cache["mode"] == mode
+    assert caches["eval"]["tape"] == [] and caches["collect"]["tape"] == []
+    kind, _, conv_cache = caches["train"]["tape"][0]
+    assert kind == "conv" and conv_cache[0].shape == (4, 10, 10, 3)  # the padded input
+    # collect still reports each batch-norm's raw batch moments and count
+    collect = caches["collect"]["bn_updates"]
+    assert set(collect) == set(caches["train"]["bn_updates"])
+    h, _ = nn._conv_f(np.ascontiguousarray(x.transpose(0, 2, 3, 1)),
+                      params["input/conv/weight"], 1, 1)
+    mean, m = collect["input/bn/rmean"]
+    var, m_var = collect["input/bn/rvar"]
+    assert m == m_var == 4 * 8 * 8
+    assert np.array_equal(mean, h.mean(axis=(0, 1, 2)))
+    assert np.array_equal(var, h.var(axis=(0, 1, 2)))
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 
