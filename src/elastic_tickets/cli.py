@@ -440,9 +440,7 @@ def _ett_snip_extra(src_ticket, spec, dense_target, train_ds, cfg, base_seed):
                 continue
             keep = int(np.count_nonzero(new_mask[path]))
             s = saliency[path].ravel()
-            order = np.lexsort((np.arange(s.size), -s))
-            flat = np.zeros(s.size, dtype=np.float32)
-            flat[order[:keep]] = 1.0
+            flat = prune._keep_first_mask(-s, np.ones(s.size, dtype=bool), keep)
             new_mask[path] = flat.reshape(new_mask[path].shape)
     prov = dict(copied.provenance)
     prov["method"] = "ett-snip-extra"

@@ -4,7 +4,8 @@ sparsity.
 
 All selections are global across prunable tensors. Ranking ties break by
 canonical path order then flat index, with candidates ordered keep-first, so
-every method resolves full ties to the same kept set.
+every method resolves full ties to the same kept set. The ranking selects
+the boundary key with a partition instead of sorting every candidate.
 """
 
 from __future__ import annotations
@@ -82,10 +83,22 @@ def _keep_first_mask(keys: np.ndarray, alive: np.ndarray, keep: int) -> np.ndarr
 
     ``keys`` orders candidates keep-first (smaller key = kept earlier); position
     is the concatenated (path order, flat index) position, the global tie-break.
+
+    The keep-th smallest key (the pivot) is found by selection; every key
+    below it is kept and the rest are filled from the keys equal to it, in
+    position order, which is the full (key, position) sort's choice. NaN keys
+    rank last, as in the sort; when the pivot is NaN, or nothing is dropped,
+    the full sort runs.
     """
     idx = np.nonzero(alive)[0]
-    order = np.lexsort((idx, keys[idx]))  # primary: key, secondary: position
-    kept = idx[order[:keep]]
+    k = keys[idx]
+    pivot = np.partition(k, keep - 1)[keep - 1] if 0 < keep < idx.size else np.nan
+    if np.isnan(pivot):
+        kept = idx[np.lexsort((idx, k))[:keep]]  # primary: key, secondary: position
+    else:
+        below = k < pivot
+        ties = np.flatnonzero(k == pivot)[: keep - np.count_nonzero(below)]
+        kept = np.concatenate([idx[below], idx[ties]])
     mask = np.zeros(keys.shape[0], dtype=np.float32)
     mask[kept] = 1.0
     return mask
@@ -121,7 +134,7 @@ def magnitude_prune(weights: dict[str, np.ndarray], mask: dict[str, np.ndarray],
         raise DomainError(
             f"target sparsity {target_zeros}/{total} below current {current_zeros}/{total}")
     keep = total - target_zeros
-    new_flat = _keep_first_mask(-np.abs(w.astype(np.float64)), m > 0, keep)
+    new_flat = _keep_first_mask(-np.abs(w), m > 0, keep)
     return _split(new_flat, paths, shapes)
 
 

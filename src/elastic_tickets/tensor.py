@@ -5,11 +5,19 @@ from named substreams of a single 64-bit seed: SplitMix64 expands the seed into
 one xoshiro256** state per substream, so any draw sequence is reproducible
 bit-for-bit from (seed, substream, call order) alone and substreams never
 interfere with each other.
+
+Large uniform requests run the same generator on 2048 lanes at once: the
+xoshiro256** state update is linear over GF(2), so a jump of k steps is a
+256x256 bit-matrix power (Haramoto et al. 2008; Blackman & Vigna 2018). Each
+lane is jumped to the start of its contiguous segment of the request and all
+lanes step together on uint64 arrays, so the words, their order and the final
+state are exactly those of the one-word-at-a-time loop.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -30,6 +38,12 @@ SUBSTREAMS = (
 
 _INV_2_53 = 2.0 ** -53
 
+# Lane path: a request of n words runs on _LANES lanes of n // _LANES words
+# each once that covers at least _LANE_MIN words; below, stepping arrays costs
+# more than the jumps save. The tail of n % _LANES words comes from the loop.
+_LANES = 2048
+_LANE_MIN = 16384
+
 
 def _splitmix64_next(state: int) -> tuple[int, int]:
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -41,6 +55,58 @@ def _splitmix64_next(state: int) -> tuple[int, int]:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _to_bits(states: np.ndarray) -> np.ndarray:
+    """(k, 4) uint64 states -> (k, 256) float32 0/1 rows; bit 64*w + b is bit b of word w."""
+    raw = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, bitorder="little").astype(np.float32)
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _gf2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product over GF(2) of 0/1 float32 matrices. Exact: every float32 sum of
+    at most 256 zeros and ones is an integer below 2**24."""
+    return np.remainder(a @ b, 2.0)
+
+
+# _JUMPS[j] advances bit rows 2**j steps (row @ _JUMPS[j] over GF(2)); built
+# on first use, never at import, under the lock so threads extend it in order.
+_JUMPS: list[np.ndarray] = []
+_JUMPS_LOCK = threading.Lock()
+
+
+def _step_lanes(s0, s1, s2, s3, t) -> None:
+    """One xoshiro256** state update of every lane, in place; t is scratch."""
+    np.left_shift(s1, np.uint64(17), out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.right_shift(s3, np.uint64(19), out=t)
+    s3 <<= np.uint64(45)
+    s3 |= t
+
+
+def _jump_matrix(steps: int) -> np.ndarray:
+    with _JUMPS_LOCK:
+        if not _JUMPS:
+            basis = _from_bits(np.eye(256, dtype=np.float32))
+            lanes = [basis[:, i].copy() for i in range(4)]
+            _step_lanes(*lanes, np.empty(256, dtype=np.uint64))
+            _JUMPS.append(_to_bits(np.stack(lanes, axis=1)))
+        while len(_JUMPS) < steps.bit_length():
+            _JUMPS.append(_gf2_mul(_JUMPS[-1], _JUMPS[-1]))
+    out = None
+    for j in range(steps.bit_length()):
+        if steps >> j & 1:
+            out = _JUMPS[j] if out is None else _gf2_mul(out, _JUMPS[j])
+    return out
 
 
 class Rng:
@@ -93,13 +159,43 @@ class Rng:
         self._states[substream] = [s0, s1, s2, s3]
         return out
 
+    def _lane_block(self, substream: str, seg: int) -> np.ndarray:
+        """The next _LANES * seg words, as _next_block would give them: lane i
+        starts i * seg steps ahead and yields words i*seg .. (i+1)*seg - 1."""
+        lanes = _to_bits(np.array([self._state(substream)], dtype=np.uint64))
+        jump = _jump_matrix(seg)
+        while len(lanes) < _LANES:
+            lanes = np.concatenate([lanes, _gf2_mul(lanes, jump)])
+            if len(lanes) < _LANES:
+                jump = _gf2_mul(jump, jump)
+        state = _from_bits(lanes)
+        s0, s1, s2, s3 = (state[:, i].copy() for i in range(4))
+        out = np.empty((seg, _LANES), dtype=np.uint64)
+        t = np.empty(_LANES, dtype=np.uint64)
+        for r in out:
+            np.multiply(s1, np.uint64(5), out=t)
+            np.left_shift(t, np.uint64(7), out=r)
+            t >>= np.uint64(57)
+            r |= t
+            r *= np.uint64(9)
+            _step_lanes(s0, s1, s2, s3, t)
+        self._states[substream] = [int(s[-1]) for s in (s0, s1, s2, s3)]
+        return out.T.ravel()
+
     def uniform64(self, substream: str, n: int) -> np.ndarray:
         """n uniform draws in [0, 1) as float64 (53 random mantissa bits)."""
         if n < 0:
             raise ConfigError(f"draw count must be >= 0, got {n}")
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        words = np.array(self._next_block(substream, n), dtype=np.uint64)
+        seg = n // _LANES
+        if seg * _LANES >= _LANE_MIN:
+            words = self._lane_block(substream, seg)
+            if n > seg * _LANES:
+                tail = np.array(self._next_block(substream, n - seg * _LANES), dtype=np.uint64)
+                words = np.concatenate([words, tail])
+        else:
+            words = np.array(self._next_block(substream, n), dtype=np.uint64)
         return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def normal64(self, substream: str, n: int) -> np.ndarray:
@@ -146,12 +242,18 @@ class Rng:
         return min(int(u * bound), bound - 1)
 
     def permutation(self, substream: str, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n); consumes n-1 uniforms."""
-        perm = np.arange(n, dtype=np.int64)
+        """Fisher-Yates permutation of range(n); consumes n-1 uniforms.
+
+        Step k (i = n-1-k) swaps i with j = min(int(u[k] * (i+1)), i); the j
+        are computed in one float64 product and truncation, the swaps stay
+        sequential.
+        """
         if n < 2:
-            return perm
+            return np.arange(n, dtype=np.int64)
         u = self.uniform64(substream, n - 1)
-        for i in range(n - 1, 0, -1):
-            j = min(int(u[n - 1 - i] * (i + 1)), i)
+        i = np.arange(n - 1, 0, -1, dtype=np.int64)
+        js = np.minimum((u * (i + 1)).astype(np.int64), i).tolist()
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)

@@ -78,6 +78,52 @@ class TestMagnitude:
         assert out["layer0/weight"].ravel().tolist() == [1, 1, 1, 1, 0, 0]
 
 
+def lexsort_keep_first(keys, alive, keep):
+    """Reference ranking: a full sort by (key, position) of the alive entries."""
+    idx = np.nonzero(alive)[0]
+    order = np.lexsort((idx, keys[idx]))
+    mask = np.zeros(keys.shape[0], dtype=np.float32)
+    mask[idx[order[:keep]]] = 1.0
+    return mask
+
+
+class TestKeepFirstMask:
+    """Selection gives the mask of the full (key, position) sort."""
+
+    @staticmethod
+    def keys_with_ties(seed, n, dtype):
+        rng = np.random.default_rng(seed)
+        values = np.array([-3.0, -1.5, -0.0, 0.0, 0.25, 2.0, np.nan], dtype=dtype)
+        keys = values[rng.integers(0, values.size - (seed % 2), n)]  # odd seeds: no NaN
+        alive = rng.random(n) < (1.0 if seed % 3 == 0 else 0.7)
+        return keys, alive
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_lexsort_on_every_keep(self, seed, dtype):
+        keys, alive = self.keys_with_ties(seed, 60, dtype)
+        for keep in range(int(alive.sum()) + 1):
+            assert np.array_equal(prune._keep_first_mask(keys, alive, keep),
+                                  lexsort_keep_first(keys, alive, keep)), keep
+
+    def test_keep_on_a_tie_takes_earliest_positions(self):
+        keys = np.array([1.0, 0.0, 1.0, -0.0, 1.0, 2.0, 1.0])
+        alive = np.array([1, 1, 1, 1, 0, 1, 1], dtype=bool)
+        got = prune._keep_first_mask(keys, alive, 4)
+        assert got.tolist() == [1, 1, 1, 1, 0, 0, 0]  # both zeros, then 1.0 at 0 and 2
+
+    def test_continuous_keys_with_nan(self):
+        rng = np.random.default_rng(5)
+        keys = rng.standard_normal(5000).astype(np.float32)
+        keys[rng.integers(0, 5000, 300)] = np.nan
+        keys[rng.integers(0, 5000, 300)] = 0.0
+        alive = rng.random(5000) < 0.8
+        for keep in (0, 1, 1000, 2500, int(np.count_nonzero(alive & ~np.isnan(keys))),
+                     int(alive.sum()) - 1, int(alive.sum())):
+            assert np.array_equal(prune._keep_first_mask(keys, alive, keep),
+                                  lexsort_keep_first(keys, alive, keep)), keep
+
+
 class TestSnip:
     def test_zero_weight_zero_grad_pruned_first(self, blob_data):
         train_ds, _ = blob_data

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,89 @@ class TestRng:
         # seeding is positional: every registered name yields a distinct stream
         outs = [Rng(1).uniform64(name, 4).tolist() for name in SUBSTREAMS]
         assert len({tuple(o) for o in outs}) == len(SUBSTREAMS)
+
+    # sha256 of the little-endian bytes, then the next 4 words of the same
+    # substream; captured from the one-word-at-a-time loop generator. Both are
+    # exact integer and IEEE arithmetic, so they hold on every platform.
+    KNOWN_LARGE = {
+        0: ("bbe51edc22d2224020b616a718db2494e9434e687a8f1c95452eafe33e018aa6",
+            [0x3AF8255EE3B8E1AD, 0x9A02EF951FDB0A5F, 0xCEBC68F8A4237B24, 0xA5D255B85F144A96],
+            "b630f8370524bdb6398d5f6f41a9f4fb25f2b999074c0d9f67f60ac28353a259",
+            [0xB85D4D930EE8346F, 0xCAEC44BE36FD29D7, 0x7988FC4A30CAD11B, 0x2E1C7AE0424D94FE]),
+        20211: ("94543d9bdb95620c4938bcf7e9105841ab83f7a6727129d70c3e91d1f6e8d47a",
+                [0x5B1EB42E647EE01E, 0x7189036EDE3E9385, 0x56BD63FF4DBC7629, 0xF592CD0D762F5BC9],
+                "91f24d85f90af3580a3e257472b5fc0cc7b474c9da8d1d30025971141c3e1388",
+                [0xCEED55BBD1D8ED02, 0x23F8BA4307597FC2, 0x0F9A267B1D815B9D, 0xD6C141A6CE7F7188]),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(KNOWN_LARGE))
+    def test_known_answers_at_real_sizes(self, seed):
+        u_sha, u_next, p_sha, p_next = self.KNOWN_LARGE[seed]
+        r = Rng(seed)
+        u = r.uniform64("init", (1 << 20) + 37)
+        assert hashlib.sha256(u.astype("<f8").tobytes()).hexdigest() == u_sha
+        assert r._next_block("init", 4) == u_next
+        p = r.permutation("mask-permutation", 100_003)
+        assert hashlib.sha256(p.astype("<i8").tobytes()).hexdigest() == p_sha
+        assert r._next_block("mask-permutation", 4) == p_next
+
+
+class LoopRng(Rng):
+    """The reference generator: every word from the ``_next_block`` loop and
+    the Fisher-Yates swaps in a scalar loop, as before the lane path."""
+
+    def uniform64(self, substream, n):
+        words = np.array(self._next_block(substream, n), dtype=np.uint64)
+        return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+    def permutation(self, substream, n):
+        perm = np.arange(n, dtype=np.int64)
+        if n < 2:
+            return perm
+        u = self.uniform64(substream, n - 1)
+        for i in range(n - 1, 0, -1):
+            j = min(int(u[n - 1 - i] * (i + 1)), i)
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+
+LANES = 2048
+
+
+class TestLanePath:
+    """The lane-parallel path gives the loop's words, order and final state."""
+
+    @staticmethod
+    def assert_same_state(a, b, substream):
+        assert a._states.get(substream) == b._states.get(substream)
+        assert a._normal_spare == b._normal_spare
+
+    @pytest.mark.parametrize("n", [1, 2047, 8 * LANES - 1, 8 * LANES, 8 * LANES + 1,
+                                   9 * LANES + LANES - 1, 13 * LANES + 5, 30_011])
+    @pytest.mark.parametrize("seed", [0, 77])
+    def test_uniform_matches_loop(self, seed, n):
+        fast, loop = Rng(seed), LoopRng(seed)
+        assert np.array_equal(fast.uniform64("augmentation", n), loop.uniform64("augmentation", n))
+        self.assert_same_state(fast, loop, "augmentation")
+
+    def test_mixed_draws_on_one_substream(self):
+        fast, loop = Rng(3), LoopRng(3)
+        for n in (5, 8 * LANES + 3, 1, 0, 9 * LANES, 100, 8 * LANES - 1, 10 * LANES + 17, 2):
+            assert np.array_equal(fast.uniform64("init", n), loop.uniform64("init", n)), n
+        self.assert_same_state(fast, loop, "init")
+        assert fast._next_block("init", 4) == loop._next_block("init", 4)
+
+    def test_odd_normal_requests_with_banked_spare(self):
+        fast, loop = Rng(11), LoopRng(11)
+        for n in (7, 8 * LANES + 1, 1, 2 * 8 * LANES - 1, 3, 20_001, 16_384):
+            assert np.array_equal(fast.normal64("init", n), loop.normal64("init", n)), n
+            self.assert_same_state(fast, loop, "init")
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 8 * LANES + 1, 20_000])
+    def test_permutation_matches_loop(self, n):
+        fast, loop = Rng(21), LoopRng(21)
+        assert np.array_equal(fast.permutation("data-order", n), loop.permutation("data-order", n))
+        self.assert_same_state(fast, loop, "data-order")
 
 
 def matmul(a, b):

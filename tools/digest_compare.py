@@ -1,0 +1,80 @@
+"""Check that source trees give byte-identical benchmark artifacts.
+
+    python3 tools/digest_compare.py --workload vgg-imp --seed 1 OLD/src NEW/src
+
+Writes the workload's stand-in data and config once, runs one untraced
+``bench/worker.py pass`` of it on each source tree (a directory holding the
+``elastic_tickets`` package), and prints every op's return code, artifact
+digest and output-check problems. Exits 1 when any op's digest differs
+between the trees; problems alone (say, a seed whose training diverges on
+both) do not change the exit code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+from run import child_env  # noqa: E402
+from standin import write_cifar10, write_mnist  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def run_tree(tag: str, src: str, workload, seed: int, work: str, data_dir: str,
+             config: str) -> list:
+    spec = {"workload": workload.name, "seed": seed, "config": config, "trace": False,
+            "dir": os.path.join(work, tag), "result": os.path.join(work, f"{tag}.json"),
+            "spans": os.path.join(work, f"{tag}.spans.jsonl")}
+    os.makedirs(spec["dir"])
+    spec_path = os.path.join(work, f"{tag}.spec.json")
+    with open(spec_path, "w") as f:
+        json.dump(spec, f)
+    proc = subprocess.run([sys.executable, os.path.join(BENCH, "worker.py"), "pass", spec_path],
+                          env=child_env(os.path.abspath(src), data_dir),
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"worker failed on {src} with exit {proc.returncode}:\n{proc.stdout[-3000:]}")
+    shutil.rmtree(spec["dir"])  # VGG passes leave ~0.4 GB of tickets
+    with open(spec["result"]) as f:
+        return json.load(f)["ops"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("src", nargs="+", help="source directories holding elastic_tickets")
+    args = parser.parse_args(argv)
+    workload = WORKLOADS[args.workload]
+    digests = []
+    with tempfile.TemporaryDirectory(prefix="digest-compare-") as tmp:
+        data_dir, work = os.path.join(tmp, "data"), os.path.join(tmp, "runs")
+        os.makedirs(work)
+        write = write_mnist if workload.dataset == "mnist" else write_cifar10
+        write(data_dir, args.seed, workload.n_train, workload.n_test)
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as f:
+            json.dump(workload.config_for(args.seed), f, indent=2)
+        for i, src in enumerate(args.src):
+            print(f"{src}:")
+            ops = run_tree(f"tree{i}", src, workload, args.seed, work, data_dir, config)
+            for op in ops:
+                print(f"  {op['name']}: rc {op['returncode']} digest {op['digest']}")
+                for problem in op["problems"]:
+                    print(f"    problem: {problem}")
+            digests.append([op["digest"] for op in ops])
+    same = all(d == digests[0] for d in digests)
+    print(f"{workload.name} seed {args.seed}: digests {'identical' if same else 'DIFFER'}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
