@@ -6,8 +6,19 @@ numerics. Pruned weights are kept at exactly zero by re-applying the binary
 mask after every optimizer step.
 
 Only a train-mode forward records a backward tape; eval and collect passes
-keep nothing past each layer. A conv's tape entry holds its padded input,
-kh*kw times smaller than the im2col matrix that backward rebuilds from it.
+keep nothing past each layer, and apply ReLU in place. A conv's tape entry
+holds its padded input, kh*kw times smaller than its im2col matrix.
+
+No conv ever holds the patch matrix of a whole batch. The forward GEMMs one
+block of images at a time into its slice of the output, and the backward
+runs one (dW, dx) GEMM pair per kernel tap over that tap's shifted window.
+Both splits give the same bits as the unsplit GEMM only while every piece
+stays on OpenBLAS's blocked GEMM kernel: a one-row product takes the gemv
+path, and products below about 1e6 multiply-adds take the small-matrix
+kernel, and either sums in another order. So forward blocks hold at least
+``_PATCH_ROWS`` patch rows (the last partial block joins the one before it),
+and a backward whose per-tap GEMMs fall under ``_TAP_GEMM_FLOOR``
+multiply-adds, or have a single row or column, takes all taps in one GEMM.
 """
 
 from __future__ import annotations
@@ -115,6 +126,12 @@ def _im2col(x_pad, kh, kw, stride, h_out, w_out):
     return cols.reshape(n * h_out * w_out, kh * kw * c)
 
 
+# Split floors that keep every conv GEMM on the blocked kernel (module
+# docstring): 51 200 patch rows is 50 images at 32x32.
+_PATCH_ROWS = 51_200
+_TAP_GEMM_FLOOR = 1 << 22
+
+
 def _conv_f(x, w, stride, pad):
     n, h, wd, c = x.shape
     f, c_in, kh, kw = w.shape
@@ -126,9 +143,14 @@ def _conv_f(x, w, stride, pad):
         x_pad = x
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (wd + 2 * pad - kw) // stride + 1
-    mat = _im2col(x_pad, kh, kw, stride, h_out, w_out)
     wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f))
-    y = (mat @ wmat).reshape(n, h_out, w_out, f)
+    y = np.empty((n, h_out, w_out, f), dtype=np.result_type(x_pad, wmat))
+    step = max(1, _PATCH_ROWS // (h_out * w_out))
+    blocks = max(1, n // step)
+    for k in range(blocks):
+        b0, b1 = k * step, (n if k == blocks - 1 else (k + 1) * step)
+        mat = _im2col(x_pad[b0:b1], kh, kw, stride, h_out, w_out)
+        np.matmul(mat, wmat, out=y[b0:b1].reshape(-1, f))
     return y, (x_pad, w, stride, pad, h_out, w_out)
 
 
@@ -137,17 +159,25 @@ def _conv_b(cache, dy):
     n = x_pad.shape[0]
     f, c, kh, kw = w.shape
     dy_mat = dy.reshape(n * h_out * w_out, f)
-    mat = _im2col(x_pad, kh, kw, stride, h_out, w_out)
-    dwmat = mat.T @ dy_mat
-    del mat  # freed before dcols, which is as large
-    dw = dwmat.reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
     wmat = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
-    dcols = (dy_mat @ wmat.T).reshape(n, h_out, w_out, kh, kw, c)
+    dwmat = np.empty(wmat.shape, dtype=np.result_type(x_pad, dy_mat))
     dx_pad = np.zeros(x_pad.shape, dtype=dy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dx_pad[:, i : i + stride * h_out : stride,
-                   j : j + stride * w_out : stride, :] += dcols[:, :, :, i, j, :]
+    windows = [(slice(None), slice(i, i + stride * h_out, stride),
+                slice(j, j + stride * w_out, stride)) for i in range(kh) for j in range(kw)]
+    if min(c, f) > 1 and dy_mat.shape[0] * c * f >= _TAP_GEMM_FLOOR:
+        groups = [[win] for win in windows]
+    else:
+        groups = [windows]
+    for g, group in enumerate(groups):
+        # this group's columns of the patch matrix, and rows of dW
+        rows = slice(g * len(group) * c, (g + 1) * len(group) * c)
+        cols = np.stack([x_pad[win] for win in group], axis=3).reshape(-1, len(group) * c)
+        np.matmul(cols.T, dy_mat, out=dwmat[rows])
+        del cols  # freed before dcols, which is as large
+        dcols = (dy_mat @ wmat[rows].T).reshape(n, h_out, w_out, len(group), c)
+        for t, win in enumerate(group):
+            dx_pad[win] += dcols[:, :, :, t, :]
+    dw = dwmat.reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
     if pad:
         dx = dx_pad[:, pad:-pad, pad:-pad, :]
     else:
@@ -173,8 +203,10 @@ def _bn_f(x, gamma, beta, rmean, rvar, mode, eps=BN_EPS, momentum=BN_MOMENTUM):
         var = rvar.astype(x.dtype)
         new_rmean, new_rvar = rmean, rvar
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * invstd  # channels-last broadcast
-    y = gamma * xhat + beta
+    xhat = x - mean  # channels-last broadcast
+    xhat *= invstd
+    y = gamma * xhat
+    y += beta
     cache = (xhat, invstd, gamma, axes, mode)
     return y, cache, new_rmean, new_rvar
 
@@ -192,7 +224,9 @@ def _bn_b(cache, dy):
     return dx, dgamma, dbeta
 
 
-def _relu_f(x):
+def _relu_f(x, mode="train"):
+    if mode != "train":  # no tape: overwrite the fresh array the caller owns
+        return np.multiply(x, x > 0, out=x), None
     mask = x > 0
     return x * mask, mask
 
@@ -255,47 +289,43 @@ def _bn_params(params, prefix):
 
 
 def _resnet_unit_f(params, prefix, x, mode, bn_updates):
-    w1 = params[f"{prefix}/conv1/weight"]
+    """One basic block. Its layer caches are kept only in train mode, so an
+    eval or collect pass frees each saved input as soon as the next layer ran."""
     stride = 2 if (f"{prefix}/shortcut/weight" in params) else 1
-    h1, c_conv1 = _conv_f(x, w1, stride, 1)
-    b1, c_bn1, rm, rv = _bn_f(h1, *_bn_params(params, f"{prefix}/bn1"), mode)
-    bn_updates[f"{prefix}/bn1/rmean"], bn_updates[f"{prefix}/bn1/rvar"] = rm, rv
-    r1, c_relu1 = _relu_f(b1)
-    h2, c_conv2 = _conv_f(r1, params[f"{prefix}/conv2/weight"], 1, 1)
-    b2, c_bn2, rm, rv = _bn_f(h2, *_bn_params(params, f"{prefix}/bn2"), mode)
-    bn_updates[f"{prefix}/bn2/rmean"], bn_updates[f"{prefix}/bn2/rvar"] = rm, rv
-    if stride == 2:
-        sc, c_sc = _conv_f(x, params[f"{prefix}/shortcut/weight"], 2, 0)
-        scb, c_bnsc, rm, rv = _bn_f(sc, *_bn_params(params, f"{prefix}/bnshortcut"), mode)
-        bn_updates[f"{prefix}/bnshortcut/rmean"], bn_updates[f"{prefix}/bnshortcut/rvar"] = rm, rv
-    else:
-        scb, c_sc, c_bnsc = x, None, None
-    pre = b2 + scb
-    y, c_relu2 = _relu_f(pre)
-    return y, (prefix, c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_sc, c_bnsc, c_relu2)
+    tape = {}
+    keep = tape.__setitem__ if mode == "train" else (lambda name, cache: None)
+
+    def conv_bn(h, conv, bn, stride, pad):
+        h, c = _conv_f(h, params[f"{prefix}/{conv}/weight"], stride, pad)
+        keep(conv, c)
+        h, c, rm, rv = _bn_f(h, *_bn_params(params, f"{prefix}/{bn}"), mode)
+        keep(bn, c)
+        bn_updates[f"{prefix}/{bn}/rmean"], bn_updates[f"{prefix}/{bn}/rvar"] = rm, rv
+        return h
+
+    h, c = _relu_f(conv_bn(x, "conv1", "bn1", stride, 1), mode)
+    keep("relu1", c)
+    h = conv_bn(h, "conv2", "bn2", 1, 1)
+    h = h + (conv_bn(x, "shortcut", "bnshortcut", 2, 0) if stride == 2 else x)
+    y, c = _relu_f(h, mode)
+    keep("relu2", c)
+    return y, (prefix, tape)
 
 
 def _resnet_unit_b(cache, dy, grads):
-    prefix, c_conv1, c_bn1, c_relu1, c_conv2, c_bn2, c_sc, c_bnsc, c_relu2 = cache
-    dpre = _relu_b(c_relu2, dy)
-    db2, dg, dbt = _bn_b(c_bn2, dpre)
-    grads[f"{prefix}/bn2/gamma"], grads[f"{prefix}/bn2/beta"] = dg, dbt
-    dr1, dw2 = _conv_b(c_conv2, db2)
-    grads[f"{prefix}/conv2/weight"] = dw2
-    db1 = _relu_b(c_relu1, dr1)
-    dh1, dg, dbt = _bn_b(c_bn1, db1)
-    grads[f"{prefix}/bn1/gamma"], grads[f"{prefix}/bn1/beta"] = dg, dbt
-    dx, dw1 = _conv_b(c_conv1, dh1)
-    grads[f"{prefix}/conv1/weight"] = dw1
-    if c_sc is not None:
-        dsc, dg, dbt = _bn_b(c_bnsc, dpre)
-        grads[f"{prefix}/bnshortcut/gamma"], grads[f"{prefix}/bnshortcut/beta"] = dg, dbt
-        dx_sc, dwsc = _conv_b(c_sc, dsc)
-        grads[f"{prefix}/shortcut/weight"] = dwsc
-        dx = dx + dx_sc
-    else:
-        dx = dx + dpre
-    return dx
+    prefix, tape = cache
+
+    def bn_conv_b(dy, bn, conv):
+        dy, grads[f"{prefix}/{bn}/gamma"], grads[f"{prefix}/{bn}/beta"] = _bn_b(tape[bn], dy)
+        dx, grads[f"{prefix}/{conv}/weight"] = _conv_b(tape[conv], dy)
+        return dx
+
+    dpre = _relu_b(tape["relu2"], dy)
+    dr1 = bn_conv_b(dpre, "bn2", "conv2")
+    dx = bn_conv_b(_relu_b(tape["relu1"], dr1), "bn1", "conv1")
+    if "shortcut" in tape:
+        return dx + bn_conv_b(dpre, "bnshortcut", "shortcut")
+    return dx + dpre
 
 
 def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "train"):
@@ -326,7 +356,7 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
             y, c = _dense_f(h, params[f"layer{k}/weight"], params[f"layer{k}/bias"])
             record(("dense", f"layer{k}", c))
             if k < n_layers - 1:
-                y, cr = _relu_f(y)
+                y, cr = _relu_f(y, mode)
                 record(("relu", None, cr))
             h = y
         logits = h
@@ -339,7 +369,7 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
         h, c, rm, rv = _bn_f(h, *_bn_params(params, "input/bn"), mode)
         bn_updates["input/bn/rmean"], bn_updates["input/bn/rvar"] = rm, rv
         record(("bn", "input/bn", c))
-        h, c = _relu_f(h)
+        h, c = _relu_f(h, mode)
         record(("relu", None, c))
         for i, st in enumerate(arch.stages):
             for j in range(st.units):
@@ -363,7 +393,7 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
                 h, c, rm, rv = _bn_f(h, *_bn_params(params, f"{p}/bn"), mode)
                 bn_updates[f"{p}/bn/rmean"], bn_updates[f"{p}/bn/rvar"] = rm, rv
                 record(("bn", f"{p}/bn", c))
-                h, c = _relu_f(h)
+                h, c = _relu_f(h, mode)
                 record(("relu", None, c))
             h, c = _maxpool2x2_f(h)
             record(("maxpool", None, c))
@@ -375,7 +405,7 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
             y, c = _dense_f(h, params[f"output/fc{k}/weight"], params[f"output/fc{k}/bias"])
             record(("dense", f"output/fc{k}", c))
             if k < n_head - 1:
-                y, cr = _relu_f(y)
+                y, cr = _relu_f(y, mode)
                 record(("relu", None, cr))
             h = y
         logits = h

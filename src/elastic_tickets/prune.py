@@ -73,7 +73,7 @@ def _split(flat: np.ndarray, paths, shapes) -> dict[str, np.ndarray]:
     pos = 0
     for p in paths:
         n = int(np.prod(shapes[p]))
-        out[p] = flat[pos : pos + n].reshape(shapes[p]).astype(np.float32)
+        out[p] = flat[pos : pos + n].reshape(shapes[p]).astype(np.float32, copy=False)
         pos += n
     return out
 

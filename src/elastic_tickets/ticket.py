@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +37,6 @@ class SparseTicket:
     rewind_step: int = 0
     provenance: dict = field(default_factory=dict)
     created_at: str = ""  # left empty by default so artifacts byte-reproduce
-
-    def with_provenance(self, **kv) -> "SparseTicket":
-        prov = dict(self.provenance)
-        prov.update(kv)
-        return replace(self, provenance=prov)
 
 
 @dataclass

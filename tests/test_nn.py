@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,173 @@ def test_eval_logits_bit_equal_to_loop_im2col(monkeypatch, family, depth, input_
     monkeypatch.setattr(nn, "_im2col", loop_im2col)
     want, _ = nn.forward(a, params, x, "eval")
     assert np.array_equal(got, want)
+
+
+def whole_batch_conv_f(x, w, stride, pad):
+    """Reference forward: one im2col matrix and one GEMM for the whole batch."""
+    n, h, wd, c = x.shape
+    f, _, kh, kw = w.shape
+    x_pad = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (wd + 2 * pad - kw) // stride + 1
+    mat = nn._im2col(x_pad, kh, kw, stride, h_out, w_out)
+    wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f))
+    y = (mat @ wmat).reshape(n, h_out, w_out, f)
+    return y, (x_pad, w, stride, pad, h_out, w_out)
+
+
+def whole_batch_conv_b(cache, dy):
+    """Reference backward: rebuilt im2col, one dW GEMM, dcols and col2im passes."""
+    x_pad, w, stride, pad, h_out, w_out = cache
+    n = x_pad.shape[0]
+    f, c, kh, kw = w.shape
+    dy_mat = dy.reshape(n * h_out * w_out, f)
+    mat = nn._im2col(x_pad, kh, kw, stride, h_out, w_out)
+    dw = (mat.T @ dy_mat).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+    wmat = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
+    dcols = (dy_mat @ wmat.T).reshape(n, h_out, w_out, kh, kw, c)
+    dx_pad = np.zeros(x_pad.shape, dtype=dy.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dx_pad[:, i : i + stride * h_out : stride,
+                   j : j + stride * w_out : stride, :] += dcols[:, :, :, i, j, :]
+    dx = dx_pad[:, pad:-pad, pad:-pad, :] if pad else dx_pad
+    return dx, np.ascontiguousarray(dw)
+
+
+def assert_conv_bit_equal(n, side, c, f, k, pad, stride, dtype, seed=55):
+    rng = Rng(seed)
+    x = rng.normal64("init", n * side * side * c).reshape(n, side, side, c).astype(dtype)
+    w = rng.normal64("init", f * c * k * k).reshape(f, c, k, k).astype(dtype)
+    y, cache = nn._conv_f(x, w, stride, pad)
+    y_ref, cache_ref = whole_batch_conv_f(x, w, stride, pad)
+    assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+    dy = rng.normal64("init", y.size).reshape(y.shape).astype(dtype)
+    dx, dw = nn._conv_b(cache, dy)
+    dx_ref, dw_ref = whole_batch_conv_b(cache_ref, dy)
+    assert dx.dtype == dx_ref.dtype and np.array_equal(dx, dx_ref)
+    assert dw.dtype == dw_ref.dtype and np.array_equal(dw, dw_ref)
+
+
+# per-tap backward GEMMs of n*h_out*w_out*c*f multiply-adds sit above
+# nn._TAP_GEMM_FLOOR, so these take the split path
+@pytest.mark.parametrize("n, side, c, f, k, pad, stride", [
+    (20, 32, 16, 16, 3, 1, 1),   # 3x3 pad 1
+    (40, 32, 16, 32, 3, 1, 2),   # 3x3 pad 1 stride 2
+    (40, 32, 16, 32, 1, 0, 2),   # 1x1 stride-2 shortcut
+    (48, 32, 3, 32, 3, 1, 1),    # RGB input
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_kernels_bit_equal_to_whole_batch(n, side, c, f, k, pad, stride, dtype):
+    assert (n * side * side * c * f) // stride ** 2 >= nn._TAP_GEMM_FLOOR
+    assert_conv_bit_equal(n, side, c, f, k, pad, stride, dtype)
+
+
+# below the floor, or with one channel or one filter, backward takes every
+# tap in one GEMM: the split would leave the blocked GEMM kernel
+@pytest.mark.parametrize("n, side, c, f, k, pad, stride", [
+    (1, 32, 16, 16, 3, 1, 1),
+    (3, 32, 3, 16, 3, 1, 1),
+    (2, 6, 1, 3, 3, 1, 2),
+    (2, 32, 1, 64, 3, 1, 1),
+    (1, 4, 2, 1, 3, 0, 1),
+    (2, 7, 5, 4, 3, 1, 2),
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_kernels_bit_equal_below_split_floor(n, side, c, f, k, pad, stride, dtype):
+    assert_conv_bit_equal(n, side, c, f, k, pad, stride, dtype)
+
+
+def spy_im2col(monkeypatch):
+    """Record the row count of every patch matrix the kernels build."""
+    rows, im2col = [], nn._im2col
+
+    def spy(*args):
+        mat = im2col(*args)
+        rows.append(mat.shape[0])
+        return mat
+
+    monkeypatch.setattr(nn, "_im2col", spy)
+    return rows
+
+
+# 4096 patch rows are 4 images at 32x32, still far above the small-GEMM regime
+@pytest.mark.parametrize("n, blocks", [
+    (3, [3]),           # under one block: the whole batch
+    (4, [4]),           # exactly one block
+    (8, [4, 4]),        # exactly two blocks
+    (10, [4, 6]),       # a 2-image tail joins the last block
+    (15, [4, 4, 7]),
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_blocks_fill_span_and_tail(monkeypatch, n, blocks, dtype):
+    monkeypatch.setattr(nn, "_PATCH_ROWS", 4096)
+    rows = spy_im2col(monkeypatch)
+    rng = Rng(56)
+    x = rng.normal64("init", n * 32 * 32 * 16).reshape(n, 32, 32, 16).astype(dtype)
+    w = rng.normal64("init", 16 * 16 * 9).reshape(16, 16, 3, 3).astype(dtype)
+    y, _ = nn._conv_f(x, w, 1, 1)
+    assert rows == [b * 1024 for b in blocks]
+    rows.clear()
+    y_ref, _ = whole_batch_conv_f(x, w, 1, 1)
+    assert np.array_equal(y, y_ref)
+
+
+def test_eval_forward_never_builds_a_whole_batch_patch_matrix(monkeypatch):
+    a = arch.derive_arch("resnet_cifar", 8)
+    params = arch.init_params(a, Rng(57))
+    x = Rng(58).normal64("init", 500 * 3 * 32 * 32).reshape(500, 3, 32, 32).astype(np.float32)
+    want, _ = nn.forward(a, params, x, "eval")
+    rows = spy_im2col(monkeypatch)
+    got, _ = nn.forward(a, params, x, "eval")
+    assert np.array_equal(got, want)
+    # every block holds the budget, up to twice that with a merged tail (a
+    # whole-batch matrix at 32x32 holds 512 000 rows); at 8x8 the whole
+    # batch is 32 000 rows, under the budget, and goes as one block
+    assert rows and max(rows) < 2 * nn._PATCH_ROWS
+    assert all(r >= nn._PATCH_ROWS or r == 500 * 8 * 8 for r in rows)
+
+
+def test_backward_builds_no_patch_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("_conv_b must not build an im2col matrix")
+
+    rng = Rng(59)
+    x = rng.normal64("init", 100 * 32 * 32 * 16).reshape(100, 32, 32, 16).astype(np.float32)
+    w = rng.normal64("init", 16 * 16 * 9).reshape(16, 16, 3, 3).astype(np.float32)
+    y, cache = nn._conv_f(x, w, 1, 1)
+    dy = rng.normal64("init", y.size).reshape(y.shape).astype(np.float32)
+    monkeypatch.setattr(nn, "_im2col", forbidden)
+    tracemalloc.start()
+    try:
+        nn._conv_b(cache, dy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    patch_matrix_bytes = 100 * 32 * 32 * 9 * 16 * 4  # 59 MB
+    assert peak < patch_matrix_bytes // 2
+
+
+def test_resnet_unit_keeps_layer_caches_in_train_mode_only():
+    a = arch.derive_arch("resnet_cifar", 8, input_shape=(3, 8, 8))
+    params = arch.init_params(a, Rng(60))
+    x = Rng(61).normal64("init", 2 * 8 * 8 * 16).reshape(2, 8, 8, 16).astype(np.float32)
+    outs = {}
+    for mode in ("train", "eval", "collect"):
+        outs[mode], (prefix, tape) = nn._resnet_unit_f(params, "stage1/unit0", x, mode, {})
+        assert prefix == "stage1/unit0"
+        assert set(tape) == ({"conv1", "bn1", "relu1", "conv2", "bn2", "shortcut", "bnshortcut",
+                              "relu2"} if mode == "train" else set())
+    assert np.array_equal(outs["train"], outs["collect"])
+
+
+def test_tape_free_relu_overwrites_its_input():
+    x = np.array([[-1.5, 0.0, 2.0], [3.0, -0.0, -2.0]], np.float32)
+    want, mask = nn._relu_f(x)
+    got, none = nn._relu_f(x, "eval")
+    assert got is x and none is None
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert mask.dtype == bool
 
 
 def test_only_train_mode_records_a_tape():

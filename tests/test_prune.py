@@ -112,6 +112,15 @@ class TestKeepFirstMask:
         got = prune._keep_first_mask(keys, alive, 4)
         assert got.tolist() == [1, 1, 1, 1, 0, 0, 0]  # both zeros, then 1.0 at 0 and 2
 
+    def test_split_returns_views_of_the_flat_mask(self):
+        shapes = {"a": (2, 3), "b": (4,)}
+        flat = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1], dtype=np.float32)
+        out = prune._split(flat, ["a", "b"], shapes)
+        assert out["a"].tolist() == [[1, 0, 1], [1, 0, 0]] and out["b"].tolist() == [1, 0, 1, 1]
+        assert all(m.dtype == np.float32 and np.shares_memory(m, flat) for m in out.values())
+        cast = prune._split(flat.astype(np.float64), ["a", "b"], shapes)
+        assert all(m.dtype == np.float32 for m in cast.values())
+
     def test_continuous_keys_with_nan(self):
         rng = np.random.default_rng(5)
         keys = rng.standard_normal(5000).astype(np.float32)

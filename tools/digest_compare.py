@@ -1,12 +1,14 @@
 """Check that source trees give byte-identical benchmark artifacts.
 
     python3 tools/digest_compare.py --workload vgg-imp --seed 1 OLD/src NEW/src
+    python3 tools/digest_compare.py --workload all --seed 1 --seed 2 OLD/src NEW/src
 
-Writes the workload's stand-in data and config once, runs one untraced
-``bench/worker.py pass`` of it on each source tree (a directory holding the
-``elastic_tickets`` package), and prints every op's return code, artifact
-digest and output-check problems. Exits 1 when any op's digest differs
-between the trees; problems alone (say, a seed whose training diverges on
+For each workload (``all`` is every one) and each ``--seed``, writes the
+stand-in data and config once, runs one untraced ``bench/worker.py pass`` of
+it on each source tree (a directory holding the ``elastic_tickets`` package),
+and prints every op's return code, artifact digest and output-check
+problems. Exits 1 when any op's digest differs between the trees on any
+workload and seed; problems alone (say, a seed whose training diverges on
 both) do not change the exit code.
 """
 
@@ -47,33 +49,43 @@ def run_tree(tag: str, src: str, workload, seed: int, work: str, data_dir: str,
         return json.load(f)["ops"]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("src", nargs="+", help="source directories holding elastic_tickets")
-    args = parser.parse_args(argv)
-    workload = WORKLOADS[args.workload]
+def compare(workload, seed: int, srcs) -> bool:
+    """Run one pass per source tree; True when every op digest agrees."""
     digests = []
     with tempfile.TemporaryDirectory(prefix="digest-compare-") as tmp:
         data_dir, work = os.path.join(tmp, "data"), os.path.join(tmp, "runs")
         os.makedirs(work)
         write = write_mnist if workload.dataset == "mnist" else write_cifar10
-        write(data_dir, args.seed, workload.n_train, workload.n_test)
+        write(data_dir, seed, workload.n_train, workload.n_test)
         config = os.path.join(tmp, "config.json")
         with open(config, "w") as f:
-            json.dump(workload.config_for(args.seed), f, indent=2)
-        for i, src in enumerate(args.src):
+            json.dump(workload.config_for(seed), f, indent=2)
+        for i, src in enumerate(srcs):
             print(f"{src}:")
-            ops = run_tree(f"tree{i}", src, workload, args.seed, work, data_dir, config)
+            ops = run_tree(f"tree{i}", src, workload, seed, work, data_dir, config)
             for op in ops:
                 print(f"  {op['name']}: rc {op['returncode']} digest {op['digest']}")
                 for problem in op["problems"]:
                     print(f"    problem: {problem}")
             digests.append([op["digest"] for op in ops])
     same = all(d == digests[0] for d in digests)
-    print(f"{workload.name} seed {args.seed}: digests {'identical' if same else 'DIFFER'}")
-    return 0 if same else 1
+    print(f"{workload.name} seed {seed}: digests {'identical' if same else 'DIFFER'}", flush=True)
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS) + ["all"])
+    parser.add_argument("--seed", type=int, required=True, action="append",
+                        help="repeat to check several seeds")
+    parser.add_argument("src", nargs="+", help="source directories holding elastic_tickets")
+    args = parser.parse_args(argv)
+    names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
+    differ = [f"{name} seed {seed}" for name in names for seed in args.seed
+              if not compare(WORKLOADS[name], seed, args.src)]
+    print(f"differing digests: {', '.join(differ)}" if differ
+          else f"all {len(names) * len(args.seed)} runs identical")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
