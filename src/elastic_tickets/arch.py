@@ -19,10 +19,17 @@ Canonical parameter paths:
   mlp:    ``layer{k}/{weight,bias}``
 
 Dense weights are stored (in, out); conv weights (out, in, kh, kw).
+
+Each arch has one cached layer program (``program``), the single source of
+its graph: ``param_specs``, ``forward_macs`` and ``nn.forward``/``backward``
+all read it. ``units`` keeps the per-family rules for which units a
+transform may replicate or drop; those are transform policy, not the graph.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +52,7 @@ _VGG_CONV_COUNTS = {13: (2, 2, 2, 2, 2), 16: (2, 2, 3, 3, 3), 19: (2, 2, 4, 4, 4
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+BN_PARAMS = ("gamma", "beta", "rmean", "rvar")
 
 
 @dataclass(frozen=True)
@@ -217,60 +225,99 @@ def transform_groups(arch: ArchDescriptor) -> list[list[UnitRef]]:
     return [all_units]
 
 
-def _bn_specs(prefix: str, ch: int) -> list[ParamSpec]:
-    return [
-        ParamSpec(f"{prefix}/gamma", (ch,), "bn_gamma"),
-        ParamSpec(f"{prefix}/beta", (ch,), "bn_beta"),
-        ParamSpec(f"{prefix}/rmean", (ch,), "bn_rmean"),
-        ParamSpec(f"{prefix}/rvar", (ch,), "bn_rvar"),
-    ]
+@dataclass(frozen=True)
+class Layer:
+    """One op of a layer program.
+
+    ``path`` prefixes the op's parameters. ``shape`` is the conv or dense
+    weight's shape, or ``(channels,)`` for batch norm. ``side`` is a conv's
+    output side length. A ``block`` adds the output of ``body`` to that of
+    ``shortcut``, or to its own input when ``shortcut`` is empty.
+    """
+    op: str  # nhwc | conv | bn | relu | dense | maxpool | gap | flatten | block
+    path: str = ""
+    shape: tuple[int, ...] = ()
+    stride: int = 1
+    side: int = 0
+    body: tuple[Layer, ...] = ()
+    shortcut: tuple[Layer, ...] = ()
+
+
+def _conv_bn(conv: str, bn: str, f: int, c: int, k: int, stride: int, side: int) -> tuple:
+    return Layer("conv", conv, (f, c, k, k), stride, side), Layer("bn", bn, (f,))
+
+
+def _dense_chain(paths: list[str], widths) -> list[Layer]:
+    """Dense layers from widths[0] to widths[-1], with a ReLU between each two."""
+    out: list[Layer] = []
+    for k, path in enumerate(paths):
+        if k:
+            out.append(Layer("relu"))
+        out.append(Layer("dense", path, (widths[k], widths[k + 1])))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def program(arch: ArchDescriptor) -> tuple[Layer, ...]:
+    """The arch's layers in forward order (module docstring). Conv sides
+    halve by floor division at each stride-2 unit and pooled stage."""
+    if arch.family == FAMILY_MLP:
+        w = arch.widths
+        return (Layer("flatten"), *_dense_chain([f"layer{k}" for k in range(len(w) - 1)], w))
+    if arch.family not in (FAMILY_RESNET, FAMILY_VGG):
+        raise ConfigError(f"unknown family {arch.family!r}")
+    prev, side = arch.input_shape[0], arch.input_shape[1]
+    prog = [Layer("nhwc")]  # kernels run channels-last
+    if arch.family == FAMILY_RESNET:
+        stem = arch.stages[0].width
+        prog += [*_conv_bn("input/conv", "input/bn", stem, prev, 3, 1, side), Layer("relu")]
+        prev = stem
+    for i, st in enumerate(arch.stages):
+        w = st.width
+        for j in range(st.units):
+            p = f"stage{i}/unit{j}"
+            in_c = prev if j == 0 else w
+            if arch.family == FAMILY_VGG:
+                prog += [*_conv_bn(f"{p}/conv", f"{p}/bn", w, in_c, 3, 1, side), Layer("relu")]
+                continue
+            stride = 1 if in_c == w else 2  # a width change downsamples, through a 1x1 shortcut
+            side //= stride
+            body = (*_conv_bn(f"{p}/conv1", f"{p}/bn1", w, in_c, 3, stride, side), Layer("relu"),
+                    *_conv_bn(f"{p}/conv2", f"{p}/bn2", w, w, 3, 1, side))
+            shortcut = (_conv_bn(f"{p}/shortcut", f"{p}/bnshortcut", w, in_c, 1, stride, side)
+                        if stride == 2 else ())
+            prog += [Layer("block", p, body=body, shortcut=shortcut), Layer("relu")]
+        if arch.family == FAMILY_VGG:
+            prog.append(Layer("maxpool"))
+            side //= 2
+        prev = w
+    if arch.family == FAMILY_RESNET:
+        return (*prog, Layer("gap"), Layer("dense", "output/fc", (prev, arch.num_classes)))
+    # the five pooled stages collapse 32x32 inputs to 1x1
+    heads = [f"output/fc{k}" for k in range(len(arch.head_widths))]
+    return (*prog, Layer("flatten"), *_dense_chain(heads, (prev, *arch.head_widths)))
+
+
+def _walk(prog):
+    """Every layer depth-first: a block, then its body, then its shortcut."""
+    for layer in prog:
+        yield layer
+        yield from _walk(layer.body)
+        yield from _walk(layer.shortcut)
 
 
 def param_specs(arch: ArchDescriptor) -> list[ParamSpec]:
     """Every parameter path with shape and kind, in canonical (forward) order."""
     specs: list[ParamSpec] = []
-    if arch.family == FAMILY_RESNET:
-        stem = arch.stages[0].width
-        specs.append(ParamSpec("input/conv/weight", (stem, arch.input_shape[0], 3, 3), "conv_weight"))
-        specs.extend(_bn_specs("input/bn", stem))
-        prev = stem
-        for i, st in enumerate(arch.stages):
-            w = st.width
-            for j in range(st.units):
-                p = f"stage{i}/unit{j}"
-                in_c = prev if j == 0 else w
-                specs.append(ParamSpec(f"{p}/conv1/weight", (w, in_c, 3, 3), "conv_weight"))
-                specs.extend(_bn_specs(f"{p}/bn1", w))
-                specs.append(ParamSpec(f"{p}/conv2/weight", (w, w, 3, 3), "conv_weight"))
-                specs.extend(_bn_specs(f"{p}/bn2", w))
-                if j == 0 and in_c != w:
-                    specs.append(ParamSpec(f"{p}/shortcut/weight", (w, in_c, 1, 1), "conv_weight"))
-                    specs.extend(_bn_specs(f"{p}/bnshortcut", w))
-            prev = w
-        specs.append(ParamSpec("output/fc/weight", (prev, arch.num_classes), "dense_weight"))
-        specs.append(ParamSpec("output/fc/bias", (arch.num_classes,), "bias"))
-    elif arch.family == FAMILY_VGG:
-        prev = arch.input_shape[0]
-        for i, st in enumerate(arch.stages):
-            w = st.width
-            for j in range(st.units):
-                p = f"stage{i}/unit{j}"
-                in_c = prev if j == 0 else w
-                specs.append(ParamSpec(f"{p}/conv/weight", (w, in_c, 3, 3), "conv_weight"))
-                specs.extend(_bn_specs(f"{p}/bn", w))
-            prev = w
-        flat = prev  # the five pooled stages collapse 32x32 inputs to 1x1
-        for k, out_w in enumerate(arch.head_widths):
-            specs.append(ParamSpec(f"output/fc{k}/weight", (flat, out_w), "dense_weight"))
-            specs.append(ParamSpec(f"output/fc{k}/bias", (out_w,), "bias"))
-            flat = out_w
-    elif arch.family == FAMILY_MLP:
-        w = arch.widths
-        for k in range(len(w) - 1):
-            specs.append(ParamSpec(f"layer{k}/weight", (w[k], w[k + 1]), "dense_weight"))
-            specs.append(ParamSpec(f"layer{k}/bias", (w[k + 1],), "bias"))
-    else:
-        raise ConfigError(f"unknown family {arch.family!r}")
+    for layer in _walk(program(arch)):
+        if layer.op == "conv":
+            specs.append(ParamSpec(f"{layer.path}/weight", layer.shape, "conv_weight"))
+        elif layer.op == "bn":
+            specs.extend(ParamSpec(f"{layer.path}/{name}", layer.shape, f"bn_{name}")
+                         for name in BN_PARAMS)
+        elif layer.op == "dense":
+            specs.append(ParamSpec(f"{layer.path}/weight", layer.shape, "dense_weight"))
+            specs.append(ParamSpec(f"{layer.path}/bias", layer.shape[1:], "bias"))
     return specs
 
 
@@ -316,43 +363,9 @@ def trainable_paths(arch: ArchDescriptor) -> list[str]:
 
 def forward_macs(arch: ArchDescriptor) -> int:
     """Dense multiply-accumulates of one forward pass on a single example."""
-    total = 0
-    if arch.family == FAMILY_RESNET:
-        side = arch.input_shape[1]
-        stem = arch.stages[0].width
-        total += side * side * stem * arch.input_shape[0] * 9
-        prev = stem
-        for i, st in enumerate(arch.stages):
-            s = side // (2 ** i)
-            w = st.width
-            for j in range(st.units):
-                in_c = prev if j == 0 else w
-                total += s * s * w * in_c * 9       # conv1
-                total += s * s * w * w * 9          # conv2
-                if j == 0 and in_c != w:
-                    total += s * s * w * in_c       # 1x1 shortcut
-            prev = w
-        total += prev * arch.num_classes
-    elif arch.family == FAMILY_VGG:
-        side = arch.input_shape[1]
-        prev = arch.input_shape[0]
-        for i, st in enumerate(arch.stages):
-            s = side // (2 ** i)
-            w = st.width
-            for j in range(st.units):
-                in_c = prev if j == 0 else w
-                total += s * s * w * in_c * 9
-            prev = w
-        flat = prev
-        for out_w in arch.head_widths:
-            total += flat * out_w
-            flat = out_w
-    elif arch.family == FAMILY_MLP:
-        w = arch.widths
-        total += sum(w[k] * w[k + 1] for k in range(len(w) - 1))
-    else:
-        raise ConfigError(f"unknown family {arch.family!r}")
-    return total
+    return sum(layer.side * layer.side * math.prod(layer.shape) if layer.op == "conv"
+               else math.prod(layer.shape)
+               for layer in _walk(program(arch)) if layer.op in ("conv", "dense"))
 
 
 def estimate_flops(arch: ArchDescriptor, sparsity: float, train_steps_multiplier: float,

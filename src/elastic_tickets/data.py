@@ -164,13 +164,6 @@ def load_cifar10(directory: str) -> tuple[Dataset, Dataset]:
     return out[0], out[1]
 
 
-def channel_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean/std over (N, H, W); the source of the constants above."""
-    mean = images.mean(axis=(0, 2, 3))
-    std = images.std(axis=(0, 2, 3))
-    return mean, std
-
-
 def augment_batch(x: np.ndarray, rng: Rng, pad: int = 4) -> np.ndarray:
     """Pad-reflect, random crop, random horizontal flip.
 

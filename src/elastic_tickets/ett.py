@@ -18,7 +18,7 @@ import numpy as np
 
 from . import arch as arch_mod
 from .arch import (ArchDescriptor, FAMILY_RESNET, FAMILY_VGG,
-                   ROLE_NORMAL, StageSpec, UnitRef)
+                   ROLE_NORMAL, UnitRef)
 from .errors import ConfigError, IncompatibilityError, UsageError
 from .tensor import Rng
 from .ticket import SparseTicket, make_ticket
@@ -292,28 +292,6 @@ def squeeze(ticket: SparseTicket, spec: TransformSpec) -> SparseTicket:
     return make_ticket(spec.target_arch, params, mask, ticket.rewind_step, prov)
 
 
-def _shrunk_source_arch(spec: TransformSpec) -> ArchDescriptor:
-    """Reconstruct the stretch's source arch from its target and selection."""
-    t = spec.target_arch
-    drops = [len(s) for s in spec.per_stage_selection]
-    if t.family in (FAMILY_RESNET, FAMILY_VGG):
-        conv = [StageSpec(st.width, st.units - d)
-                for st, d in zip(t.stages, drops[: len(t.stages)])]
-        if t.family == FAMILY_RESNET:
-            return ArchDescriptor(family=t.family, num_classes=t.num_classes,
-                                  input_shape=t.input_shape, stages=tuple(conv))
-        head_drop = drops[len(t.stages)] if len(drops) > len(t.stages) else 0
-        head = t.head_widths[head_drop:]
-        return ArchDescriptor(family=t.family, num_classes=t.num_classes,
-                              input_shape=t.input_shape, stages=tuple(conv),
-                              head_widths=head)
-    # mlp: dropping a hidden layer removes one interior width entry
-    order = _stretch_order(len(t.widths) - 1 - drops[0], spec.per_stage_selection[0],
-                           spec.ordering or APPENDING)
-    kept = [t.widths[slot + 1] for slot, (_, rep) in enumerate(order) if not rep]
-    return arch_mod.mlp_arch([t.widths[0]] + kept, input_shape=t.input_shape)
-
-
 def replica_prefixes(spec: TransformSpec) -> list[str]:
     """Target unit prefixes filled by replicas (in target order) for a stretch."""
     if spec.direction != STRETCH:
@@ -324,20 +302,3 @@ def replica_prefixes(spec: TransformSpec) -> list[str]:
         order = _stretch_order(n_src, sel, spec.ordering or APPENDING)
         out.extend(tu[slot].prefix for slot, (_, rep) in enumerate(order) if rep)
     return out
-
-
-def inverse(spec: TransformSpec) -> TransformSpec:
-    """The squeeze that exactly undoes a stretch: drop the replica positions."""
-    if spec.direction != STRETCH:
-        raise UsageError("inverse is defined for stretch specs only")
-    tgt_groups = arch_mod.transform_groups(spec.target_arch)
-    drop_sel = []
-    for tu, sel in zip(tgt_groups, spec.per_stage_selection):
-        n_src = len(tu) - len(sel)
-        order = _stretch_order(n_src, sel, spec.ordering or APPENDING)
-        drop_sel.append(tuple(slot for slot, (_, rep) in enumerate(order) if rep))
-    return TransformSpec(direction=SQUEEZE,
-                         per_stage_selection=tuple(drop_sel),
-                         ordering=None,
-                         replicated_mask_mode=spec.replicated_mask_mode,
-                         target_arch=_shrunk_source_arch(spec))

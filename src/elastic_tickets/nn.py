@@ -5,9 +5,15 @@ float64 when a caller (finite-difference checks, saliency scoring) needs tight
 numerics. Pruned weights are kept at exactly zero by re-applying the binary
 mask after every optimizer step.
 
-Only a train-mode forward records a backward tape; eval and collect passes
-keep nothing past each layer, and apply ReLU in place. A conv's tape entry
-holds its padded input, kh*kw times smaller than its im2col matrix.
+``forward`` runs one interpreter, ``_run``, over the arch's layer program
+(``arch.program``), and ``backward`` walks its tape in reverse (``_back``).
+Only a train-mode forward records that tape; eval and collect passes keep
+nothing past each layer, and apply ReLU in place. Two more rules keep their
+peak down: a residual block runs in its own call (``_block_f``), so that
+both branch outputs are freed when it returns, and the channels-last copy of
+the input is made by the program's ``nhwc`` op, never held in ``forward``'s
+frame. A conv's tape entry holds its padded input, kh*kw times smaller than
+its im2col matrix.
 
 No conv ever holds the patch matrix of a whole batch. The forward GEMMs one
 block of images at a time into its slice of the output, and the backward
@@ -23,11 +29,13 @@ multiply-adds, or have a single row or column, takes all taps in one GEMM.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import ArchDescriptor, BN_EPS, BN_MOMENTUM, FAMILY_MLP, FAMILY_RESNET, FAMILY_VGG
+from .arch import (ArchDescriptor, BN_EPS, BN_MOMENTUM, BN_PARAMS, FAMILY_MLP, FAMILY_VGG,
+                   program, trainable_paths)
 from .errors import ConfigError, ShapeError, UsageError
 from .tensor import Rng
 
@@ -280,52 +288,71 @@ def softmax_cross_entropy(logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# family forwards
+# the layer-program interpreter
 
 
-def _bn_params(params, prefix):
-    return (params[f"{prefix}/gamma"], params[f"{prefix}/beta"],
-            params[f"{prefix}/rmean"], params[f"{prefix}/rvar"])
+def _run(prog, params, h, mode, tape, bn_updates):
+    """Run a layer program on ``h``; train mode appends (layer, cache) to ``tape``."""
+    for layer in prog:
+        op, path = layer.op, layer.path
+        if op == "nhwc":
+            h, c = np.ascontiguousarray(h.transpose(0, 2, 3, 1)), None
+        elif op == "conv":
+            h, c = _conv_f(h, params[f"{path}/weight"], layer.stride, layer.shape[2] // 2)
+        elif op == "bn":
+            h, c, bn_updates[f"{path}/rmean"], bn_updates[f"{path}/rvar"] = _bn_f(
+                h, *(params[f"{path}/{name}"] for name in BN_PARAMS), mode)
+        elif op == "relu":
+            h, c = _relu_f(h, mode)
+        elif op == "dense":
+            h, c = _dense_f(h, params[f"{path}/weight"], params[f"{path}/bias"])
+        elif op == "maxpool":
+            h, c = _maxpool2x2_f(h)
+        elif op == "gap":
+            h, c = _gap_f(h)
+        elif op == "flatten":
+            h, c = h.reshape(h.shape[0], math.prod(h.shape[1:])), h.shape
+        else:  # block
+            h, c = _block_f(layer, params, h, mode, bn_updates)
+        if mode == "train":
+            tape.append((layer, c))
+        del c  # an eval or collect cache dies before the next layer allocates
+    return h
 
 
-def _resnet_unit_f(params, prefix, x, mode, bn_updates):
-    """One basic block. Its layer caches are kept only in train mode, so an
-    eval or collect pass frees each saved input as soon as the next layer ran."""
-    stride = 2 if (f"{prefix}/shortcut/weight" in params) else 1
-    tape = {}
-    keep = tape.__setitem__ if mode == "train" else (lambda name, cache: None)
-
-    def conv_bn(h, conv, bn, stride, pad):
-        h, c = _conv_f(h, params[f"{prefix}/{conv}/weight"], stride, pad)
-        keep(conv, c)
-        h, c, rm, rv = _bn_f(h, *_bn_params(params, f"{prefix}/{bn}"), mode)
-        keep(bn, c)
-        bn_updates[f"{prefix}/{bn}/rmean"], bn_updates[f"{prefix}/{bn}/rvar"] = rm, rv
-        return h
-
-    h, c = _relu_f(conv_bn(x, "conv1", "bn1", stride, 1), mode)
-    keep("relu1", c)
-    h = conv_bn(h, "conv2", "bn2", 1, 1)
-    h = h + (conv_bn(x, "shortcut", "bnshortcut", 2, 0) if stride == 2 else x)
-    y, c = _relu_f(h, mode)
-    keep("relu2", c)
-    return y, (prefix, tape)
+def _block_f(layer, params, x, mode, bn_updates):
+    """A residual block, in its own frame so that both branch outputs are
+    freed when it returns."""
+    body, shortcut = [], []
+    y = _run(layer.body, params, x, mode, body, bn_updates)
+    y = y + (_run(layer.shortcut, params, x, mode, shortcut, bn_updates) if layer.shortcut else x)
+    return y, (body, shortcut)
 
 
-def _resnet_unit_b(cache, dy, grads):
-    prefix, tape = cache
-
-    def bn_conv_b(dy, bn, conv):
-        dy, grads[f"{prefix}/{bn}/gamma"], grads[f"{prefix}/{bn}/beta"] = _bn_b(tape[bn], dy)
-        dx, grads[f"{prefix}/{conv}/weight"] = _conv_b(tape[conv], dy)
-        return dx
-
-    dpre = _relu_b(tape["relu2"], dy)
-    dr1 = bn_conv_b(dpre, "bn2", "conv2")
-    dx = bn_conv_b(_relu_b(tape["relu1"], dr1), "bn1", "conv1")
-    if "shortcut" in tape:
-        return dx + bn_conv_b(dpre, "bnshortcut", "shortcut")
-    return dx + dpre
+def _back(tape, dy, grads):
+    """Mirror of ``_run``: walk a tape backwards, storing parameter grads."""
+    for layer, c in reversed(tape):
+        op, path = layer.op, layer.path
+        if op == "nhwc":
+            dy = dy.transpose(0, 3, 1, 2)
+        elif op == "conv":
+            dy, grads[f"{path}/weight"] = _conv_b(c, dy)
+        elif op == "bn":
+            dy, grads[f"{path}/gamma"], grads[f"{path}/beta"] = _bn_b(c, dy)
+        elif op == "relu":
+            dy = _relu_b(c, dy)
+        elif op == "dense":
+            dy, grads[f"{path}/weight"], grads[f"{path}/bias"] = _dense_b(c, dy)
+        elif op == "maxpool":
+            dy = _maxpool2x2_b(c, dy)
+        elif op == "gap":
+            dy = _gap_b(c, dy)
+        elif op == "flatten":
+            dy = dy.reshape(c)
+        else:  # block
+            body, shortcut = c
+            dy = _back(body, dy, grads) + (_back(shortcut, dy, grads) if shortcut else dy)
+    return dy
 
 
 def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "train"):
@@ -335,126 +362,36 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
     updates in ``cache['bn_updates']``; eval mode uses the stored stats.
     ``collect`` behaves like train but reports raw batch moments instead of
     exponentially averaged ones (used to re-estimate stats over a full pass).
-    Only train mode records the backward tape in ``cache['tape']``; eval and
-    collect return it empty, so each layer's saved inputs are freed as soon
-    as the next layer has run. Conv entries hold the padded input, not its
-    im2col matrix, which backward rebuilds.
+    ``cache['tape']`` holds (layer, cache) pairs in train mode, and is empty
+    in eval and collect mode.
     """
     if mode not in ("train", "eval", "collect"):
         raise ConfigError(f"mode must be 'train', 'eval' or 'collect', got {mode!r}")
+    prog = program(arch)
     x = np.asarray(x)
-    tape = []
-    record = tape.append if mode == "train" else (lambda entry: None)
-    bn_updates: dict[str, np.ndarray] = {}
     if arch.family == FAMILY_MLP:
         flat_dim = int(np.prod(arch.input_shape))
         if int(np.prod(x.shape[1:])) != flat_dim:
             raise ShapeError(f"input shape {x.shape[1:]} does not flatten to {flat_dim}")
-        h = x.reshape(x.shape[0], flat_dim)
-        n_layers = len(arch.widths) - 1
-        for k in range(n_layers):
-            y, c = _dense_f(h, params[f"layer{k}/weight"], params[f"layer{k}/bias"])
-            record(("dense", f"layer{k}", c))
-            if k < n_layers - 1:
-                y, cr = _relu_f(y, mode)
-                record(("relu", None, cr))
-            h = y
-        logits = h
-    elif arch.family == FAMILY_RESNET:
-        if tuple(x.shape[1:]) != tuple(arch.input_shape):
-            raise ShapeError(f"input shape {x.shape[1:]} != expected {arch.input_shape}")
-        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # kernels run channels-last
-        h, c = _conv_f(x, params["input/conv/weight"], 1, 1)
-        record(("conv", "input/conv/weight", c))
-        h, c, rm, rv = _bn_f(h, *_bn_params(params, "input/bn"), mode)
-        bn_updates["input/bn/rmean"], bn_updates["input/bn/rvar"] = rm, rv
-        record(("bn", "input/bn", c))
-        h, c = _relu_f(h, mode)
-        record(("relu", None, c))
-        for i, st in enumerate(arch.stages):
-            for j in range(st.units):
-                h, c = _resnet_unit_f(params, f"stage{i}/unit{j}", h, mode, bn_updates)
-                record(("resnet_unit", None, c))
-        h, c = _gap_f(h)
-        record(("gap", None, c))
-        logits, c = _dense_f(h, params["output/fc/weight"], params["output/fc/bias"])
-        record(("dense", "output/fc", c))
-    elif arch.family == FAMILY_VGG:
-        if tuple(x.shape[1:]) != tuple(arch.input_shape):
-            raise ShapeError(f"input shape {x.shape[1:]} != expected {arch.input_shape}")
-        if arch.input_shape[1] % (2 ** len(arch.stages)) or arch.input_shape[2] % (2 ** len(arch.stages)):
-            raise ShapeError(f"vgg input spatial dims must be divisible by {2 ** len(arch.stages)}")
-        h = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # kernels run channels-last
-        for i, st in enumerate(arch.stages):
-            for j in range(st.units):
-                p = f"stage{i}/unit{j}"
-                h, c = _conv_f(h, params[f"{p}/conv/weight"], 1, 1)
-                record(("conv", f"{p}/conv/weight", c))
-                h, c, rm, rv = _bn_f(h, *_bn_params(params, f"{p}/bn"), mode)
-                bn_updates[f"{p}/bn/rmean"], bn_updates[f"{p}/bn/rvar"] = rm, rv
-                record(("bn", f"{p}/bn", c))
-                h, c = _relu_f(h, mode)
-                record(("relu", None, c))
-            h, c = _maxpool2x2_f(h)
-            record(("maxpool", None, c))
-        shape = h.shape
-        h = h.reshape(shape[0], -1)
-        record(("flatten", None, shape))
-        n_head = len(arch.head_widths)
-        for k in range(n_head):
-            y, c = _dense_f(h, params[f"output/fc{k}/weight"], params[f"output/fc{k}/bias"])
-            record(("dense", f"output/fc{k}", c))
-            if k < n_head - 1:
-                y, cr = _relu_f(y, mode)
-                record(("relu", None, cr))
-            h = y
-        logits = h
-    else:
-        raise ConfigError(f"unknown family {arch.family!r}")
-    cache = {"mode": mode, "tape": tape, "bn_updates": bn_updates}
-    return logits, cache
+    elif tuple(x.shape[1:]) != tuple(arch.input_shape):
+        raise ShapeError(f"input shape {x.shape[1:]} != expected {arch.input_shape}")
+    elif arch.family == FAMILY_VGG and (arch.input_shape[1] % (2 ** len(arch.stages))
+                                        or arch.input_shape[2] % (2 ** len(arch.stages))):
+        raise ShapeError(f"vgg input spatial dims must be divisible by {2 ** len(arch.stages)}")
+    tape: list = []
+    bn_updates: dict[str, np.ndarray] = {}
+    logits = _run(prog, params, x, mode, tape, bn_updates)
+    return logits, {"mode": mode, "tape": tape, "bn_updates": bn_updates}
 
 
-def backward(arch: ArchDescriptor, cache: dict, dlogits: np.ndarray,
-             return_input_grad: bool = False):
-    """Gradients for every trainable parameter given upstream logits gradient.
-
-    With ``return_input_grad`` the per-sample gradient w.r.t. the network input
-    is returned as a second value (in the input's own layout).
-    """
+def backward(arch: ArchDescriptor, cache: dict, dlogits: np.ndarray):
+    """Gradients for every trainable parameter, in canonical order, given
+    the upstream logits gradient."""
     if cache["mode"] != "train":
         raise UsageError("backward requires a cache from a train-mode forward pass")
     grads: dict[str, np.ndarray] = {}
-    dy = dlogits
-    for kind, name, c in reversed(cache["tape"]):
-        if kind == "dense":
-            dy, dw, db = _dense_b(c, dy)
-            grads[f"{name}/weight"] = dw
-            if db is not None:
-                grads[f"{name}/bias"] = db
-        elif kind == "conv":
-            dy, dw = _conv_b(c, dy)
-            grads[name] = dw
-        elif kind == "bn":
-            dy, dg, dbt = _bn_b(c, dy)
-            grads[f"{name}/gamma"], grads[f"{name}/beta"] = dg, dbt
-        elif kind == "relu":
-            dy = _relu_b(c, dy)
-        elif kind == "maxpool":
-            dy = _maxpool2x2_b(c, dy)
-        elif kind == "gap":
-            dy = _gap_b(c, dy)
-        elif kind == "flatten":
-            dy = dy.reshape(c)
-        elif kind == "resnet_unit":
-            dy = _resnet_unit_b(c, dy, grads)
-        else:
-            raise UsageError(f"unknown tape entry {kind!r}")
-    if return_input_grad:
-        if dy.ndim == 4:
-            dy = dy.transpose(0, 3, 1, 2)  # back to the caller's channels-first layout
-        return grads, dy
-    return grads
+    _back(cache["tape"], dlogits, grads)
+    return {path: grads[path] for path in trainable_paths(arch)}
 
 
 def loss_and_grad(arch, params, x, labels, mode="train"):

@@ -226,21 +226,6 @@ class Rng:
             self._normal_spare[substream] = float(vals[n])
         return vals[:n]
 
-    def draw(self, substream: str, n: int, dist: str = "uniform01") -> np.ndarray:
-        """Public draw: a float32 tensor of n variates from the named substream."""
-        if dist == "uniform01":
-            return self.uniform64(substream, n).astype(np.float32)
-        if dist == "standard-normal":
-            return self.normal64(substream, n).astype(np.float32)
-        raise ConfigError(f"unknown distribution {dist!r}")
-
-    def randint_below(self, substream: str, bound: int) -> int:
-        """One integer in [0, bound) via a single uniform draw."""
-        if bound <= 0:
-            raise ConfigError(f"bound must be positive, got {bound}")
-        u = self.uniform64(substream, 1)[0]
-        return min(int(u * bound), bound - 1)
-
     def permutation(self, substream: str, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n); consumes n-1 uniforms.
 

@@ -13,8 +13,10 @@ from hypothesis import given, settings, HealthCheck
 from hypothesis import strategies as st
 
 from conftest import assert_tickets_equal, require_dataset
-from elastic_tickets import arch, cli, data, ett, evaluation, nn, oracles, prune, ticket
+import oracles
+from elastic_tickets import arch, cli, data, ett, evaluation, nn, prune, ticket
 from elastic_tickets.tensor import Rng
+from support import inverse, randint_below
 
 
 def _run_preset(preset, tmp_path, data_dir, monkeypatch):
@@ -125,7 +127,7 @@ def test_criterion_4_transform_invariants(normals, copies, sparsity_target, seed
     # (a) bounded sparsity drift
     assert abs(ticket.sparsity(out).overall - ticket.sparsity(t).overall) <= 0.01
     # (b) exact round trip
-    assert_tickets_equal(ett.squeeze(out, ett.inverse(spec)), t)
+    assert_tickets_equal(ett.squeeze(out, inverse(spec)), t)
     # (c) ordering changes positions only
     other = ett.APPENDING if ordering == ett.INTERPOLATION else ett.INTERPOLATION
     out2 = ett.stretch(t, ett.default_spec(t.arch, target, other))
@@ -152,7 +154,7 @@ def test_criterion_4_transform_invariants_resnet():
         spec = ett.default_spec(t.arch, target, ordering)
         out = ett.stretch(t, spec)
         assert abs(ticket.sparsity(out).overall - ticket.sparsity(t).overall) <= 0.01
-        assert_tickets_equal(ett.squeeze(out, ett.inverse(spec)), t)
+        assert_tickets_equal(ett.squeeze(out, inverse(spec)), t)
         for path in ("input/conv/weight", "output/fc/weight", "output/fc/bias"):
             assert np.array_equal(out.rewind_weights[path], t.rewind_weights[path])
         for i in range(3):
@@ -265,7 +267,7 @@ def test_criterion_5_gradient_correctness(kind, i):
     elif kind == "softmax_xent":
         n, k = 3 + i % 3, 2 + i % 4
         logits = rng.normal64("init", n * k).reshape(n, k)
-        labels = np.array([rng.randint_below("init", k) for _ in range(n)])
+        labels = np.array([randint_below(rng, "init", k) for _ in range(n)])
         _, dlogits = nn.softmax_cross_entropy(logits, labels)
         fd_check(lambda t: nn.softmax_cross_entropy(t.reshape(n, k), labels)[0],
                  logits.ravel(), dlogits)
@@ -298,7 +300,7 @@ def test_criterion_6_pruning_method_oracles():
             weights[p] = rng.normal64("init", int(np.prod(shapes[p]))) \
                 .astype(np.float32).reshape(shapes[p])
         total = sum(int(np.prod(shapes[p])) for p in paths)
-        target = rng.randint_below("init", total)
+        target = randint_below(rng, "init", total)
         got = prune.magnitude_prune(weights, ticket.all_ones_mask(a), int(target), a)
         ref = oracles.oracle_global_prune([(p, weights[p].ravel()) for p in paths], int(target))
         for p in paths:
@@ -392,9 +394,9 @@ def test_criterion_9_format_and_reproducibility(tmp_path):
     payload_len = len(blob) - 16 - header_len - 4
     rng = Rng(6)
     for _ in range(20):
-        pos = 16 + header_len + rng.randint_below("init", payload_len)
+        pos = 16 + header_len + randint_below(rng, "init", payload_len)
         corrupt = bytearray(blob)
-        corrupt[pos] ^= 1 << rng.randint_below("init", 8)
+        corrupt[pos] ^= 1 << randint_below(rng, "init", 8)
         p.write_bytes(bytes(corrupt))
         with pytest.raises(Exception):
             ticket.load_ticket(p)

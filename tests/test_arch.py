@@ -145,6 +145,13 @@ class TestFlops:
         s2 = 2 * 2 * 64 * 32 * 9 + 2 * 2 * 64 * 64 * 9 + 2 * 2 * 64 * 32
         fc = 64 * 10
         assert arch.forward_macs(r) == stem + s0 + s1 + s2 + fc
+        # vgg-16 at 32x32: 13 convs at sides 32, 16, 8, 4, 2, then the fc head
+        convs = (32 * 32 * 9 * (64 * 3 + 64 * 64) + 16 * 16 * 9 * (128 * 64 + 128 * 128)
+                 + 8 * 8 * 9 * (256 * 128 + 2 * 256 * 256) + 4 * 4 * 9 * (512 * 256 + 2 * 512 * 512)
+                 + 2 * 2 * 9 * 3 * 512 * 512)
+        assert convs + 512 * 512 * 2 + 512 * 10 == 313_725_952
+        assert arch.forward_macs(arch.derive_arch("vgg_cifar", 16)) == 313_725_952
+        assert arch.forward_macs(arch.derive_arch("vgg_cifar", 16, head_layers=1)) == 313_201_664
 
     def test_ratio_between_archs(self):
         a = arch.derive_arch("mlp", 2)

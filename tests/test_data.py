@@ -8,6 +8,7 @@ from elastic_tickets import arch, data, nn
 from elastic_tickets.errors import (ConfigError, DataBadMagic, DataCountMismatch,
                                     DataParseError, DataRecordMisaligned, DataTruncated)
 from elastic_tickets.tensor import Rng
+from support import channel_stats
 
 
 def write_idx_images(path, images):
@@ -161,7 +162,7 @@ class TestCifarParser:
     def test_channel_stats_oracle(self):
         rng = Rng(5)
         images = rng.normal64("init", 20 * 3 * 4 * 4).reshape(20, 3, 4, 4) * 0.5 + 0.3
-        mean, std = data.channel_stats(images)
+        mean, std = channel_stats(images)
         assert np.allclose(mean, images.mean(axis=(0, 2, 3)))
         assert np.allclose(std, images.std(axis=(0, 2, 3)))
 

@@ -5,6 +5,7 @@ from conftest import assert_tickets_equal, tiny_mlp_ticket, tiny_resnet_ticket
 from elastic_tickets import arch, ett, nn, ticket
 from elastic_tickets.errors import IncompatibilityError, UsageError
 from elastic_tickets.tensor import Rng
+from support import inverse
 
 
 def unit_payload(t, prefix):
@@ -246,7 +247,7 @@ class TestInverse:
         src = arch.derive_arch("resnet_cifar", 20)
         tgt = arch.derive_arch("resnet_cifar", 32)
         spec = ett.default_spec(src, tgt, ett.APPENDING)
-        inv = ett.inverse(spec)
+        inv = inverse(spec)
         assert inv.direction == ett.SQUEEZE
         assert inv.per_stage_selection == ((3, 4), (3, 4), (3, 4))
         assert inv.target_arch == src
@@ -255,12 +256,12 @@ class TestInverse:
         src = arch.derive_arch("resnet_cifar", 20)
         tgt = arch.derive_arch("resnet_cifar", 32)
         spec = ett.default_spec(src, tgt, ett.INTERPOLATION)
-        assert ett.inverse(spec).per_stage_selection == ((2, 4), (2, 4), (2, 4))
+        assert inverse(spec).per_stage_selection == ((2, 4), (2, 4), (2, 4))
 
     def test_identity_inverse(self):
         a = arch.derive_arch("resnet_cifar", 20)
         spec = ett.default_spec(a, a)
-        inv = ett.inverse(spec)
+        inv = inverse(spec)
         assert inv.per_stage_selection == ((), (), ())
         assert inv.target_arch == a
 
@@ -268,14 +269,14 @@ class TestInverse:
         src = arch.derive_arch("resnet_cifar", 32)
         spec = ett.default_spec(src, arch.derive_arch("resnet_cifar", 20))
         with pytest.raises(UsageError):
-            ett.inverse(spec)
+            inverse(spec)
 
     @pytest.mark.parametrize("ordering", [ett.APPENDING, ett.INTERPOLATION])
     def test_roundtrip_bit_exact_resnet(self, ordering):
         t = tiny_resnet_ticket(depth=14, sparsity_target=0.55, input_side=8)
         tgt = arch.derive_arch("resnet_cifar", 32, input_shape=(3, 8, 8))
         spec = ett.default_spec(t.arch, tgt, ordering)
-        back = ett.squeeze(ett.stretch(t, spec), ett.inverse(spec))
+        back = ett.squeeze(ett.stretch(t, spec), inverse(spec))
         assert_tickets_equal(back, t)
 
     @pytest.mark.parametrize("ordering", [ett.APPENDING, ett.INTERPOLATION])
@@ -283,7 +284,7 @@ class TestInverse:
         t = tiny_mlp_ticket(widths=(8, 6, 6, 4, 2), sparsity_target=0.4)
         tgt = arch.mlp_arch([8, 6, 6, 6, 6, 4, 2])
         spec = ett.default_spec(t.arch, tgt, ordering)
-        back = ett.squeeze(ett.stretch(t, spec), ett.inverse(spec))
+        back = ett.squeeze(ett.stretch(t, spec), inverse(spec))
         assert_tickets_equal(back, t)
 
 

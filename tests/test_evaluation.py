@@ -8,6 +8,7 @@ from conftest import tiny_mlp_ticket
 from elastic_tickets import arch, data, evaluation, nn, prune, ticket
 from elastic_tickets.errors import IncompatibilityError, UsageError
 from elastic_tickets.tensor import Rng
+from support import randint_below
 
 
 @pytest.fixture
@@ -125,7 +126,7 @@ class TestConnectivity:
         t = ticket.make_ticket(conv, weights, ticket.all_ones_mask(conv), 0, {"method": "imp"})
         rng = Rng(2)
         images = rng.normal64("init", 60 * 3 * 8 * 8).reshape(60, 3, 8, 8).astype(np.float32)
-        labels = np.array([rng.randint_below("init", 10) for _ in range(60)], dtype=np.int64)
+        labels = np.array([randint_below(rng, "init", 10) for _ in range(60)], dtype=np.int64)
         ds = data.Dataset("synth-conv", "train", images, labels)
         cfg = nn.TrainConfig(epochs=1, batch_size=20, lr=0.01, momentum=0.9, seed=3)
         report = evaluation.connectivity_probe(t, ds, ds, cfg, (1, 2), grid_size=3)

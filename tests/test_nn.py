@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elastic_tickets import arch, nn, oracles
+import oracles
+from elastic_tickets import arch, nn
 from elastic_tickets.errors import ConfigError, ShapeError, UsageError
 from elastic_tickets.tensor import Rng
+from support import randint_below
 
 REL_TOL = 1e-6
 FD_H = 1e-4
@@ -36,7 +38,7 @@ def check_param_grad(loss_fn, theta, analytic):
 @pytest.mark.parametrize("i", range(20))
 def test_dense_grads(i):
     rng = Rng(1000 + i)
-    n, d_in, d_out = [2 + rng.randint_below("init", 4) for _ in range(3)]
+    n, d_in, d_out = [2 + randint_below(rng, "init", 4) for _ in range(3)]
     x = rng.normal64("init", n * d_in).reshape(n, d_in)
     w = rng.normal64("init", d_in * d_out).reshape(d_in, d_out)
     b = rng.normal64("init", d_out)
@@ -51,13 +53,13 @@ def test_dense_grads(i):
 @pytest.mark.parametrize("i", range(20))
 def test_conv_grads(i):
     rng = Rng(2000 + i)
-    n = 1 + rng.randint_below("init", 2)
-    c = 1 + rng.randint_below("init", 3)
-    f = 1 + rng.randint_below("init", 3)
-    side = 4 + rng.randint_below("init", 3)
-    stride = 1 + rng.randint_below("init", 2)
-    pad = rng.randint_below("init", 2)
-    k = 1 if (side + 2 * pad) < 3 else (1 + 2 * rng.randint_below("init", 2))
+    n = 1 + randint_below(rng, "init", 2)
+    c = 1 + randint_below(rng, "init", 3)
+    f = 1 + randint_below(rng, "init", 3)
+    side = 4 + randint_below(rng, "init", 3)
+    stride = 1 + randint_below(rng, "init", 2)
+    pad = randint_below(rng, "init", 2)
+    k = 1 if (side + 2 * pad) < 3 else (1 + 2 * randint_below(rng, "init", 2))
     x = rng.normal64("init", n * side * side * c).reshape(n, side, side, c)
     w = rng.normal64("init", f * c * k * k).reshape(f, c, k, k)
     y, cache = nn._conv_f(x, w, stride, pad)
@@ -73,7 +75,7 @@ def test_conv_grads(i):
 @pytest.mark.parametrize("spatial", [False, True])
 def test_batchnorm_grads(i, spatial):
     rng = Rng(3000 + i)
-    ch = 2 + rng.randint_below("init", 3)
+    ch = 2 + randint_below(rng, "init", 3)
     if spatial:
         shape = (3, 4, 4, ch)
     else:
@@ -149,7 +151,7 @@ def test_softmax_cross_entropy_grads(i):
     rng = Rng(8000 + i)
     n, k = 3 + i % 3, 2 + i % 4
     logits = rng.normal64("init", n * k).reshape(n, k)
-    labels = np.array([rng.randint_below("init", k) for _ in range(n)])
+    labels = np.array([randint_below(rng, "init", k) for _ in range(n)])
     loss, dlogits = nn.softmax_cross_entropy(logits, labels)
     check_param_grad(lambda th: nn.softmax_cross_entropy(th.reshape(n, k), labels)[0],
                      logits.ravel(), dlogits)
@@ -199,7 +201,7 @@ def test_two_layer_dense_vs_scalar_oracle():
 def test_forward_vs_scalar_oracle_many_random_mlps():
     for i in range(50):
         rng = Rng(9000 + i)
-        widths = [2 + rng.randint_below("init", 5) for _ in range(3)]
+        widths = [2 + randint_below(rng, "init", 5) for _ in range(3)]
         a = arch.mlp_arch(widths)
         params = arch.init_params(a, rng)
         x = rng.normal64("init", 2 * widths[0]).reshape(2, widths[0]).astype(np.float32)
@@ -268,7 +270,7 @@ def test_vgg_whole_network_gradient_spot_check():
                  "output/fc0/bias", "output/fc1/weight"):
         flat = params[path].ravel()
         for _ in range(6):
-            i = rng.randint_below("init", flat.size)
+            i = randint_below(rng, "init", flat.size)
             orig = flat[i]
             flat[i] = orig + h
             up = nn.loss_and_grad(a, params, x, labels, "train")[0]
@@ -287,19 +289,6 @@ def test_zero_upstream_gradient_gives_zero_grads():
     _, cache = nn.forward(a, params, x, "train")
     grads = nn.backward(a, cache, np.zeros((2, 10), np.float32))
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
-
-
-def test_duplicated_sample_duplicates_input_gradient():
-    a = arch.mlp_arch([6, 5, 3])
-    params = arch.init_params(a, Rng(11))
-    x0 = Rng(12).normal64("init", 6).astype(np.float32)
-    x = np.stack([x0, x0, Rng(13).normal64("init", 6).astype(np.float32)])
-    labels = np.array([1, 1, 0])
-    logits, cache = nn.forward(a, params, x, "train")
-    _, dlogits = nn.softmax_cross_entropy(logits, labels)
-    _, dx = nn.backward(a, cache, dlogits, return_input_grad=True)
-    assert np.array_equal(dx[0], dx[1])
-    assert not np.array_equal(dx[0], dx[2])
 
 
 def test_forward_shape_mismatch():
@@ -507,13 +496,19 @@ def test_backward_builds_no_patch_matrix(monkeypatch):
 def test_resnet_unit_keeps_layer_caches_in_train_mode_only():
     a = arch.derive_arch("resnet_cifar", 8, input_shape=(3, 8, 8))
     params = arch.init_params(a, Rng(60))
-    x = Rng(61).normal64("init", 2 * 8 * 8 * 16).reshape(2, 8, 8, 16).astype(np.float32)
-    outs = {}
+    x = Rng(61).normal64("init", 2 * 3 * 8 * 8).reshape(2, 3, 8, 8).astype(np.float32)
+    outs, tapes = {}, {}
     for mode in ("train", "eval", "collect"):
-        outs[mode], (prefix, tape) = nn._resnet_unit_f(params, "stage1/unit0", x, mode, {})
-        assert prefix == "stage1/unit0"
-        assert set(tape) == ({"conv1", "bn1", "relu1", "conv2", "bn2", "shortcut", "bnshortcut",
-                              "relu2"} if mode == "train" else set())
+        outs[mode], cache = nn.forward(a, params, x, mode)
+        tapes[mode] = cache["tape"]
+    assert tapes["eval"] == [] and tapes["collect"] == []
+    block, (body, shortcut) = next((layer, c) for layer, c in tapes["train"]
+                                   if layer.path == "stage1/unit0")
+    assert block.op == "block"
+    assert [layer.op for layer, _ in body] == ["conv", "bn", "relu", "conv", "bn"]
+    assert [layer.path for layer, _ in shortcut] == ["stage1/unit0/shortcut",
+                                                      "stage1/unit0/bnshortcut"]
+    assert all(c is not None for layer, c in body + shortcut if layer.op != "relu")
     assert np.array_equal(outs["train"], outs["collect"])
 
 
@@ -534,8 +529,10 @@ def test_only_train_mode_records_a_tape():
     for mode, cache in caches.items():
         assert set(cache) == {"mode", "tape", "bn_updates"} and cache["mode"] == mode
     assert caches["eval"]["tape"] == [] and caches["collect"]["tape"] == []
-    kind, _, conv_cache = caches["train"]["tape"][0]
-    assert kind == "conv" and conv_cache[0].shape == (4, 10, 10, 3)  # the padded input
+    tape = caches["train"]["tape"]
+    assert [layer for layer, _ in tape] == list(arch.program(a))
+    layer, conv_cache = tape[1]
+    assert layer.op == "conv" and conv_cache[0].shape == (4, 10, 10, 3)  # the padded input
     # collect still reports each batch-norm's raw batch moments and count
     collect = caches["collect"]["bn_updates"]
     assert set(collect) == set(caches["train"]["bn_updates"])
@@ -546,6 +543,47 @@ def test_only_train_mode_records_a_tape():
     assert m == m_var == 4 * 8 * 8
     assert np.array_equal(mean, h.mean(axis=(0, 1, 2)))
     assert np.array_equal(var, h.var(axis=(0, 1, 2)))
+
+
+DRIFT_ARCHS = [
+    arch.derive_arch("resnet_cifar", 8),
+    arch.derive_arch("resnet_cifar", 20),
+    *(arch.derive_arch("vgg_cifar", d, head_layers=h) for d in (13, 16, 19) for h in (1, 3)),
+    arch.derive_arch("vgg_cifar", [1, 2, 1, 3, 1], head_layers=2),
+    arch.derive_arch("mlp", 1),
+    arch.derive_arch("mlp", 3),
+    arch.mlp_arch([16, 10, 10, 10, 6, 4]),
+]
+
+
+@pytest.mark.parametrize("a", DRIFT_ARCHS, ids=lambda a: a.name())
+def test_program_and_param_specs_cannot_drift(a):
+    # only paths and shapes matter here; ones skip a slow init of VGG's 20M weights
+    params = {s.path: np.ones(s.shape, np.float32) for s in arch.param_specs(a)}
+    x = Rng(71).normal64("init", 2 * int(np.prod(a.input_shape)))
+    x = x.reshape(2, *a.input_shape).astype(np.float32)
+    logits, cache = nn.forward(a, params, x, "train")
+    grads = nn.backward(a, cache, np.ones_like(logits))
+    assert list(grads) == arch.trainable_paths(a)
+    shapes = {s.path: s.shape for s in arch.param_specs(a)}
+    assert all(g.shape == shapes[path] for path, g in grads.items())
+    assert set(cache["bn_updates"]) == {s.path for s in arch.param_specs(a)
+                                        if s.kind in ("bn_rmean", "bn_rvar")}
+
+
+def test_resnet_eval_peak_stays_under_eight_stage0_activations():
+    # A 500-image 32x32 ResNet-8 eval; one stage-0 activation is 500x32x32x16
+    # float32 = 31.25 MiB. A block whose branch outputs outlive it peaks higher.
+    a = arch.derive_arch("resnet_cifar", 8)
+    params = arch.init_params(a, Rng(72))
+    x = Rng(73).normal64("init", 500 * 3 * 32 * 32).reshape(500, 3, 32, 32).astype(np.float32)
+    tracemalloc.start()
+    try:
+        nn.forward(a, params, x, "eval")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 500 * 32 * 32 * 16 * 4
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from elastic_tickets import oracles
+import oracles
 
 
 class TestIndependence:

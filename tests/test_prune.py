@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import tiny_mlp_ticket
-from elastic_tickets import arch, nn, oracles, prune, ticket
+import oracles
+from elastic_tickets import arch, nn, prune, ticket
 from elastic_tickets.errors import ConfigError, DomainError
 from elastic_tickets.tensor import Rng
+from support import randint_below
 
 
 def small_mlp(widths=(8, 6, 4)):
@@ -45,7 +47,7 @@ class TestMagnitude:
             total = sum(weights[p].size for p in arch.prunable_paths(a))
             for p in arch.prunable_paths(a):
                 weights[p] = rng.normal64("init", weights[p].size).astype(np.float32).reshape(weights[p].shape)
-            target = rng.randint_below("init", total)
+            target = randint_below(rng, "init", total)
             got = prune.magnitude_prune(weights, ticket.all_ones_mask(a), int(target), a)
             ref = oracles.oracle_global_prune(
                 [(p, weights[p].ravel()) for p in arch.prunable_paths(a)], int(target))
@@ -61,7 +63,7 @@ class TestMagnitude:
                     .astype(np.float32).reshape(weights[p].shape) for p in paths}
             current = sum(int(m.size - np.count_nonzero(m)) for m in mask.values())
             total = sum(m.size for m in mask.values())
-            target = current + rng.randint_below("init", total - current)
+            target = current + randint_below(rng, "init", total - current)
             got = prune.magnitude_prune(weights, mask, int(target), a)
             ref = oracles.oracle_global_prune(
                 [(p, weights[p].ravel()) for p in paths], int(target),

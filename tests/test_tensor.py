@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastic_tickets import nn, oracles
+import oracles
+from elastic_tickets import nn
 from elastic_tickets.errors import ConfigError
 from elastic_tickets.tensor import Rng, SUBSTREAMS
+from support import draw
 
 
 def int_valued(rng, shape, lo=-8, hi=8):
@@ -18,24 +20,24 @@ def int_valued(rng, shape, lo=-8, hi=8):
 
 class TestRng:
     def test_same_seed_bitwise_identical(self):
-        a = Rng(123).draw("init", 1000, "standard-normal")
-        b = Rng(123).draw("init", 1000, "standard-normal")
+        a = draw(Rng(123), "init", 1000, "standard-normal")
+        b = draw(Rng(123), "init", 1000, "standard-normal")
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(Rng(1).draw("init", 100), Rng(2).draw("init", 100))
+        assert not np.array_equal(draw(Rng(1), "init", 100), draw(Rng(2), "init", 100))
 
     def test_substreams_independent(self):
         r = Rng(5)
-        base = Rng(5).draw("data-order", 64)
-        r.draw("init", 1000)
-        r.draw("augmentation", 17)
-        assert np.array_equal(r.draw("data-order", 64), base)
+        base = draw(Rng(5), "data-order", 64)
+        draw(r, "init", 1000)
+        draw(r, "augmentation", 17)
+        assert np.array_equal(draw(r, "data-order", 64), base)
 
     def test_stream_splitting_uniform(self):
         r = Rng(9)
-        parts = np.concatenate([r.draw("init", 5), r.draw("init", 5)])
-        assert np.array_equal(parts, Rng(9).draw("init", 10))
+        parts = np.concatenate([draw(r, "init", 5), draw(r, "init", 5)])
+        assert np.array_equal(parts, draw(Rng(9), "init", 10))
 
     def test_stream_splitting_normal_odd_counts(self):
         r = Rng(9)
@@ -43,15 +45,15 @@ class TestRng:
         assert np.array_equal(parts, Rng(9).normal64("init", 10))
 
     def test_empty_draw(self):
-        assert Rng(1).draw("init", 0).shape == (0,)
+        assert draw(Rng(1), "init", 0).shape == (0,)
 
     def test_unknown_substream(self):
         with pytest.raises(ConfigError, match="unknown rng substream"):
-            Rng(1).draw("nope", 3)
+            draw(Rng(1), "nope", 3)
 
     def test_unknown_distribution(self):
         with pytest.raises(ConfigError):
-            Rng(1).draw("init", 3, "cauchy")
+            draw(Rng(1), "init", 3, "cauchy")
 
     def test_uniform_moments(self):
         u = Rng(7).uniform64("init", 100_000)
@@ -74,7 +76,7 @@ class TestRng:
 
     def test_draws_finite(self):
         for dist in ("uniform01", "standard-normal"):
-            v = Rng(13).draw("init", 10_000, dist)
+            v = draw(Rng(13), "init", 10_000, dist)
             assert np.isfinite(v).all()
 
     # Captured from the pure-Python xoshiro256** generator. Words and
