@@ -259,8 +259,9 @@ def _dense_chain(paths: list[str], widths) -> list[Layer]:
 
 @functools.lru_cache(maxsize=None)
 def program(arch: ArchDescriptor) -> tuple[Layer, ...]:
-    """The arch's layers in forward order (module docstring). Conv sides
-    halve by floor division at each stride-2 unit and pooled stage."""
+    """The arch's layers in forward order (module docstring). A conv's side
+    follows the conv output formula, so a stride-2 unit takes an odd side s
+    to (s + 1) // 2; a pooled stage halves the (even) side."""
     if arch.family == FAMILY_MLP:
         w = arch.widths
         return (Layer("flatten"), *_dense_chain([f"layer{k}" for k in range(len(w) - 1)], w))
@@ -281,7 +282,7 @@ def program(arch: ArchDescriptor) -> tuple[Layer, ...]:
                 prog += [*_conv_bn(f"{p}/conv", f"{p}/bn", w, in_c, 3, 1, side), Layer("relu")]
                 continue
             stride = 1 if in_c == w else 2  # a width change downsamples, through a 1x1 shortcut
-            side //= stride
+            side = (side + 2 * 1 - 3) // stride + 1  # nn._conv_f's side: 3x3 kernel, padding 1
             body = (*_conv_bn(f"{p}/conv1", f"{p}/bn1", w, in_c, 3, stride, side), Layer("relu"),
                     *_conv_bn(f"{p}/conv2", f"{p}/bn2", w, w, 3, 1, side))
             shortcut = (_conv_bn(f"{p}/shortcut", f"{p}/bnshortcut", w, in_c, 1, stride, side)

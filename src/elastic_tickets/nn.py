@@ -7,6 +7,9 @@ mask after every optimizer step.
 
 ``forward`` runs one interpreter, ``_run``, over the arch's layer program
 (``arch.program``), and ``backward`` walks its tape in reverse (``_back``).
+The walk ends at the first conv or dense layer, which computes its weight
+gradient but not the gradient with respect to the network input: nothing
+reads that one.
 Only a train-mode forward records that tape; eval and collect passes keep
 nothing past each layer, and apply ReLU in place. Two more rules keep their
 peak down: a residual block runs in its own call (``_block_f``), so that
@@ -112,11 +115,11 @@ def _dense_f(x, w, b):
     return y, (x, w, b is not None)
 
 
-def _dense_b(cache, dy):
+def _dense_b(cache, dy, need_dx=True):
     x, w, has_b = cache
     dw = x.T @ dy
     db = dy.sum(axis=0) if has_b else None
-    dx = dy @ w.T
+    dx = dy @ w.T if need_dx else None
     return dx, dw, db
 
 
@@ -162,14 +165,14 @@ def _conv_f(x, w, stride, pad):
     return y, (x_pad, w, stride, pad, h_out, w_out)
 
 
-def _conv_b(cache, dy):
+def _conv_b(cache, dy, need_dx=True):
     x_pad, w, stride, pad, h_out, w_out = cache
     n = x_pad.shape[0]
     f, c, kh, kw = w.shape
     dy_mat = dy.reshape(n * h_out * w_out, f)
     wmat = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
     dwmat = np.empty(wmat.shape, dtype=np.result_type(x_pad, dy_mat))
-    dx_pad = np.zeros(x_pad.shape, dtype=dy.dtype)
+    dx_pad = np.zeros(x_pad.shape, dtype=dy.dtype) if need_dx else None
     windows = [(slice(None), slice(i, i + stride * h_out, stride),
                 slice(j, j + stride * w_out, stride)) for i in range(kh) for j in range(kw)]
     if min(c, f) > 1 and dy_mat.shape[0] * c * f >= _TAP_GEMM_FLOOR:
@@ -182,15 +185,14 @@ def _conv_b(cache, dy):
         cols = np.stack([x_pad[win] for win in group], axis=3).reshape(-1, len(group) * c)
         np.matmul(cols.T, dy_mat, out=dwmat[rows])
         del cols  # freed before dcols, which is as large
-        dcols = (dy_mat @ wmat[rows].T).reshape(n, h_out, w_out, len(group), c)
-        for t, win in enumerate(group):
-            dx_pad[win] += dcols[:, :, :, t, :]
+        if need_dx:
+            dcols = (dy_mat @ wmat[rows].T).reshape(n, h_out, w_out, len(group), c)
+            for t, win in enumerate(group):
+                dx_pad[win] += dcols[:, :, :, t, :]
     dw = dwmat.reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
-    if pad:
-        dx = dx_pad[:, pad:-pad, pad:-pad, :]
-    else:
-        dx = dx_pad
-    return dx, np.ascontiguousarray(dw)
+    if need_dx and pad:
+        dx_pad = dx_pad[:, pad:-pad, pad:-pad, :]
+    return dx_pad, np.ascontiguousarray(dw)
 
 
 def _bn_f(x, gamma, beta, rmean, rvar, mode, eps=BN_EPS, momentum=BN_MOMENTUM):
@@ -329,20 +331,24 @@ def _block_f(layer, params, x, mode, bn_updates):
     return y, (body, shortcut)
 
 
-def _back(tape, dy, grads):
-    """Mirror of ``_run``: walk a tape backwards, storing parameter grads."""
-    for layer, c in reversed(tape):
+def _back(tape, dy, grads, need_dx=True):
+    """Mirror of ``_run``: walk a tape backwards, storing parameter grads,
+    and return the gradient with respect to the tape's input. With
+    ``need_dx`` False the tape must start with a conv or dense layer, which
+    then skips its input-gradient products, and None is returned."""
+    for k in range(len(tape) - 1, -1, -1):
+        layer, c = tape[k]
         op, path = layer.op, layer.path
         if op == "nhwc":
             dy = dy.transpose(0, 3, 1, 2)
         elif op == "conv":
-            dy, grads[f"{path}/weight"] = _conv_b(c, dy)
+            dy, grads[f"{path}/weight"] = _conv_b(c, dy, need_dx or k > 0)
         elif op == "bn":
             dy, grads[f"{path}/gamma"], grads[f"{path}/beta"] = _bn_b(c, dy)
         elif op == "relu":
             dy = _relu_b(c, dy)
         elif op == "dense":
-            dy, grads[f"{path}/weight"], grads[f"{path}/bias"] = _dense_b(c, dy)
+            dy, grads[f"{path}/weight"], grads[f"{path}/bias"] = _dense_b(c, dy, need_dx or k > 0)
         elif op == "maxpool":
             dy = _maxpool2x2_b(c, dy)
         elif op == "gap":
@@ -390,7 +396,11 @@ def backward(arch: ArchDescriptor, cache: dict, dlogits: np.ndarray):
     if cache["mode"] != "train":
         raise UsageError("backward requires a cache from a train-mode forward pass")
     grads: dict[str, np.ndarray] = {}
-    _back(cache["tape"], dlogits, grads)
+    tape = cache["tape"]
+    # the layers before the first conv or dense (nhwc, flatten) hold no
+    # parameters, so the walk stops there and computes no input gradient
+    first = next(k for k, (layer, _) in enumerate(tape) if layer.op in ("conv", "dense"))
+    _back(tape[first:], dlogits, grads, need_dx=False)
     return {path: grads[path] for path in trainable_paths(arch)}
 
 

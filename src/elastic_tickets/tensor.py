@@ -11,7 +11,13 @@ xoshiro256** state update is linear over GF(2), so a jump of k steps is a
 256x256 bit-matrix power (Haramoto et al. 2008; Blackman & Vigna 2018). Each
 lane is jumped to the start of its contiguous segment of the request and all
 lanes step together on uint64 arrays, so the words, their order and the final
-state are exactly those of the one-word-at-a-time loop.
+state are exactly those of the one-word-at-a-time loop. The GF(2) products
+are float32 GEMMs whose sums are whole numbers below 2**24, so their parity
+is taken by an integer AND.
+
+``permutation`` draws its Fisher-Yates swap targets as one array and then
+computes, with whole-array operations, the permutation that applying those
+swaps one after another would give (``_apply_swaps``).
 """
 
 from __future__ import annotations
@@ -53,10 +59,6 @@ def _splitmix64_next(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 def _to_bits(states: np.ndarray) -> np.ndarray:
     """(k, 4) uint64 states -> (k, 256) float32 0/1 rows; bit 64*w + b is bit b of word w."""
     raw = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
@@ -70,8 +72,11 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
 
 def _gf2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product over GF(2) of 0/1 float32 matrices. Exact: every float32 sum of
-    at most 256 zeros and ones is an integer below 2**24."""
-    return np.remainder(a @ b, 2.0)
+    at most 256 zeros and ones is an integer below 2**24, whose parity is its
+    lowest bit."""
+    prod = (a @ b).astype(np.int32)
+    prod &= 1
+    return prod.astype(np.float32)
 
 
 # _JUMPS[j] advances bit rows 2**j steps (row @ _JUMPS[j] over GF(2)); built
@@ -147,15 +152,15 @@ class Rng:
         out = []
         append = out.append
         for _ in range(n):
-            r = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+            x = (s1 * 5) & _MASK64
+            append((((x << 7) | (x >> 57)) * 9) & _MASK64)  # rotl(x, 7) * 9
             t = (s1 << 17) & _MASK64
             s2 ^= s0
             s3 ^= s1
             s1 ^= s2
             s0 ^= s3
             s2 ^= t
-            s3 = _rotl(s3, 45)
-            append(r)
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
         self._states[substream] = [s0, s1, s2, s3]
         return out
 
@@ -230,15 +235,53 @@ class Rng:
         """Fisher-Yates permutation of range(n); consumes n-1 uniforms.
 
         Step k (i = n-1-k) swaps i with j = min(int(u[k] * (i+1)), i); the j
-        are computed in one float64 product and truncation, the swaps stay
-        sequential.
+        are computed in one float64 product and truncation, and
+        ``_apply_swaps`` gives the result of the sequential swaps.
         """
         if n < 2:
             return np.arange(n, dtype=np.int64)
         u = self.uniform64(substream, n - 1)
         i = np.arange(n - 1, 0, -1, dtype=np.int64)
-        js = np.minimum((u * (i + 1)).astype(np.int64), i).tolist()
-        perm = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), js):
-            perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.int64)
+        return _apply_swaps(np.minimum((u * (i + 1)).astype(np.int64), i))
+
+
+def _apply_swaps(js: np.ndarray) -> np.ndarray:
+    """The permutation of range(n), n = len(js) + 1, left by swapping
+    positions i and js[k] for k = 0, 1, ..., with i = n-1-k and js[k] <= i.
+
+    Computed without the sequential loop. Steps only touch positions at or
+    below their i, so position i is final after its step k and holds what
+    stood at js[k] then; position 0 is treated as a last step k = n-1 with
+    j = 0. A position p <= i is written before step k only by earlier steps
+    with j = p, each moving in the value that stood at its own i. So:
+
+    * out[i_k] = moved[prev[k]], where prev[k] is the latest earlier step
+      with the same j, or js[k] itself when there is none;
+    * moved[k], the value at i_k before step k, is moved[q[k]], where q[k]
+      is the latest earlier step with j = i_k, or i_k itself when none.
+
+    One argsort of the unique keys j*n + k groups the steps by j in step
+    order, and pointer jumping resolves the chains of q.
+    """
+    n = len(js) + 1
+    ks = np.arange(n, dtype=np.int64)
+    js = np.append(js, 0)
+    order = np.argsort(js * n + ks)
+    j_sorted = js[order]
+    # latest earlier step with the same j (-1: none)
+    same = np.flatnonzero(j_sorted[1:] == j_sorted[:-1]) + 1
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[same]] = order[same - 1]
+    # q[k]: the last step of group j = i_k. Every step of that group has
+    # k' <= k; k' = k only when step k swaps i_k with itself, and then no
+    # later step reads moved[k], since their j lie below i_k.
+    counts = np.bincount(js, minlength=n)
+    last = np.cumsum(counts)[::-1] - 1  # by k: sorted position of group i_k's last step
+    ptr = np.where(counts[::-1] > 0, order[last], ks)
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
+        ptr = nxt
+    moved = n - 1 - ptr
+    return np.where(prev >= 0, moved[prev], js)[::-1].copy()  # by k, so i descending

@@ -153,6 +153,18 @@ class TestFlops:
         assert arch.forward_macs(arch.derive_arch("vgg_cifar", 16)) == 313_725_952
         assert arch.forward_macs(arch.derive_arch("vgg_cifar", 16, head_layers=1)) == 313_201_664
 
+    # every preset arch and transform target; even sides, so the conv
+    # output formula gives the counts that halving gave
+    PRESET_MACS = {("resnet_cifar", 8): 12_501_632, ("resnet_cifar", 14): 26_657_408,
+                   ("resnet_cifar", 20): 40_813_184, ("resnet_cifar", 32): 69_124_736,
+                   ("resnet_cifar", 56): 125_747_840, ("mlp", 2): 356_200, ("mlp", 3): 446_200,
+                   ("vgg_cifar", 13): 228_791_296, ("vgg_cifar", 19): 398_660_608}
+
+    @pytest.mark.parametrize("family, depth", sorted(PRESET_MACS))
+    def test_preset_macs_pinned(self, family, depth):
+        macs = arch.forward_macs(arch.derive_arch(family, depth))
+        assert macs == self.PRESET_MACS[family, depth]
+
     def test_ratio_between_archs(self):
         a = arch.derive_arch("mlp", 2)
         b = arch.mlp_arch([784, 300, 300, 100, 10])

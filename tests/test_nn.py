@@ -571,6 +571,52 @@ def test_program_and_param_specs_cannot_drift(a):
                                         if s.kind in ("bn_rmean", "bn_rvar")}
 
 
+@pytest.mark.parametrize("a", [arch.derive_arch("mlp", 2),
+                               arch.derive_arch("resnet_cifar", 8, input_shape=(3, 8, 8)),
+                               arch.derive_arch("vgg_cifar", 13)], ids=lambda a: a.name())
+def test_backward_skips_only_the_discarded_input_gradient(a, monkeypatch):
+    params = ({s.path: np.full(s.shape, 0.01, np.float32) for s in arch.param_specs(a)}
+              if a.family == arch.FAMILY_VGG else arch.init_params(a, Rng(81)))
+    x = Rng(82).normal64("init", 3 * int(np.prod(a.input_shape)))
+    x = x.reshape(3, *a.input_shape).astype(np.float32)
+    logits, cache = nn.forward(a, params, x, "train")
+    dlogits = Rng(83).normal64("init", logits.size).reshape(logits.shape).astype(np.float32)
+    full: dict = {}
+    dx = nn._back(cache["tape"], dlogits, full)  # the whole reverse walk, down to the input
+    assert dx.shape == x.shape
+    skipped = []
+    for name in ("_conv_b", "_dense_b"):
+        def spy(c, dy, need_dx=True, kernel=getattr(nn, name)):
+            out = kernel(c, dy, need_dx)
+            assert (out[0] is None) == (not need_dx)
+            if not need_dx:
+                skipped.append(c[1])  # the layer's weight
+            return out
+        monkeypatch.setattr(nn, name, spy)
+    grads = nn.backward(a, cache, dlogits)
+    first = arch.prunable_paths(a)[0]
+    assert len(skipped) == 1 and skipped[0] is params[first]
+    assert list(grads) == arch.trainable_paths(a)
+    assert all(np.array_equal(grads[path], full[path]) for path in grads)
+
+
+def test_forward_macs_counts_the_sides_the_convs_output(monkeypatch):
+    # a stride-2 conv takes the odd side 9 to 5 and then 5 to 3 (ceil, not floor)
+    a = arch.derive_arch("resnet_cifar", 8, input_shape=(3, 9, 9))
+    params = arch.init_params(a, Rng(84))
+    macs = []
+
+    def spy(x, w, stride, pad, kernel=nn._conv_f):
+        y, c = kernel(x, w, stride, pad)
+        macs.append(y.shape[1] * y.shape[2] * int(np.prod(w.shape)))
+        return y, c
+
+    monkeypatch.setattr(nn, "_conv_f", spy)
+    nn.forward(a, params, np.zeros((1, 3, 9, 9), np.float32), "eval")
+    assert len(macs) == 9
+    assert arch.forward_macs(a) == sum(macs) + 64 * 10
+
+
 def test_resnet_eval_peak_stays_under_eight_stage0_activations():
     # A 500-image 32x32 ResNet-8 eval; one stage-0 activation is 500x32x32x16
     # float32 = 31.25 MiB. A block whose branch outputs outlive it peaks higher.

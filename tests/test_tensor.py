@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from elastic_tickets import nn
 from elastic_tickets.errors import ConfigError
-from elastic_tickets.tensor import Rng, SUBSTREAMS
+from elastic_tickets.tensor import Rng, SUBSTREAMS, _apply_swaps, _gf2_mul
 from support import draw
 
 
@@ -193,6 +194,76 @@ class TestLanePath:
         fast, loop = Rng(21), LoopRng(21)
         assert np.array_equal(fast.permutation("data-order", n), loop.permutation("data-order", n))
         self.assert_same_state(fast, loop, "data-order")
+
+
+class TestGf2Mul:
+    """Parity by integer AND gives what ``np.remainder`` of the GEMM gave."""
+
+    @staticmethod
+    def reference(a, b):
+        return np.remainder(a @ b, 2.0)
+
+    @pytest.mark.parametrize("rows", [1, 7, 256, 2048])
+    def test_random_bit_matrices(self, rows):
+        u = Rng(rows).uniform64("init", (rows + 256) * 256)
+        bits = (u < 0.5).astype(np.float32)
+        a, b = bits[: rows * 256].reshape(rows, 256), bits[rows * 256 :].reshape(256, 256)
+        got = _gf2_mul(a, b)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, self.reference(a, b))
+
+    def test_all_ones_sums_reach_256(self):
+        ones = np.ones((256, 256), dtype=np.float32)
+        assert np.array_equal(_gf2_mul(ones, ones), self.reference(ones, ones))
+        assert not _gf2_mul(ones, ones).any()  # every sum is 256, even
+        odd = ones[:, :255]
+        assert np.array_equal(_gf2_mul(odd, odd.T), self.reference(odd, odd.T))
+        assert _gf2_mul(odd, odd.T).all()  # every sum is 255, odd
+
+
+def sequential_swaps(js):
+    """The Fisher-Yates swap loop on a Python list: step k swaps i = n-1-k with js[k]."""
+    n = len(js) + 1
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), js):
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def reference_permutation(seed, substream, n):
+    """(permutation, final state) from the word loop, scalar j and the swap loop."""
+    loop = LoopRng(seed)
+    if n < 2:
+        return list(range(n)), loop._states.get(substream)
+    u = loop.uniform64(substream, n - 1).tolist()
+    js = [min(int(u[n - 1 - i] * (i + 1)), i) for i in range(n - 1, 0, -1)]
+    return sequential_swaps(js), loop._states.get(substream)
+
+
+class TestPermutationSwaps:
+    """``permutation`` and ``_apply_swaps`` give what the sequential swaps give."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 2048, 2049, 100_003, 356_200])
+    def test_permutation_matches_sequential_swaps(self, n):
+        perm, state = reference_permutation(5, "mask-permutation", n)
+        r = Rng(5)
+        got = r.permutation("mask-permutation", n)
+        assert got.dtype == np.int64
+        assert got.tolist() == perm
+        assert r._states.get("mask-permutation") == state
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_swap_sequence_of_small_n(self, n):
+        for js in itertools.product(*(range(i + 1) for i in range(n - 1, 0, -1))):
+            assert _apply_swaps(np.array(js, dtype=np.int64)).tolist() == sequential_swaps(js), js
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 4097, 50_001])
+    @pytest.mark.parametrize("case", ["all_zero", "self_swaps", "i_minus_1", "halves"])
+    def test_adversarial_swap_targets(self, n, case):
+        i = np.arange(n - 1, 0, -1, dtype=np.int64)
+        js = {"all_zero": np.zeros_like(i), "self_swaps": i, "i_minus_1": i - 1,
+              "halves": i // 2}[case]
+        assert _apply_swaps(js).tolist() == sequential_swaps(js.tolist())
 
 
 def matmul(a, b):
