@@ -1,19 +1,21 @@
 """Training steps per second of the preset models, for one or more source trees.
 
     python3 tools/step_bench.py OLD/src NEW/src
-    python3 tools/step_bench.py --rounds 10 --out BENCH_step.json OLD/src NEW/src
+    python3 tools/step_bench.py --out BENCH_step.json OLD/src NEW/src
 
 A step is ``nn.loss_and_grad`` plus ``nn.sgd_step`` on one fixed seeded
 batch, with every weight kept (an all-ones mask): MLP-2 at batch 128 on
 MNIST-shaped input, and ResNet-14 at batch 100 on CIFAR-shaped input, each
 with its preset's optimizer settings. Each source tree is a directory
-holding the ``elastic_tickets`` package. Every round measures every model
-on every tree in a fresh interpreter, with the tree order reversed from one
+holding the ``elastic_tickets`` package, and is named in the output as it was
+given. Each of ``ROUNDS`` rounds measures every model on every tree in a
+fresh interpreter, with the tree order reversed from one
 round to the next, so that drift in the machine's speed falls on both sides
 alike. A measurement runs two warm-up steps, then times the model's fixed
 step count (``MODELS``).
 Prints one line per measurement and writes the rounds, medians and
-quartiles to ``--out`` as JSON.
+quartiles, with the CPU model and the BLAS numpy was built against, to
+``--out`` as JSON.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ MODELS = {
     "resnet14": ("resnet_cifar", 14, 100, (3, 32, 32), 1e-4, 10),
 }
 WARMUP_STEPS = 2
+# Ten rounds, so that a difference is seen on ten interleaved pairs.
+ROUNDS = 10
 
 
 def measure(model: str) -> float:
@@ -75,6 +79,25 @@ def run_child(src: str, model: str) -> float:
     return float(proc.stdout.strip().splitlines()[-1])
 
 
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def blas() -> str:
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{info['name']} {info['version']}"
+    except Exception:
+        return "unknown"
+
+
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3),
@@ -83,7 +106,6 @@ def summary(runs: list[float]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=5, help="at least 2, for quartiles")
     parser.add_argument("--out", default="BENCH_step.json")
     parser.add_argument("--measure", choices=sorted(MODELS), help=argparse.SUPPRESS)
     parser.add_argument("src", nargs="*", help="source directories holding elastic_tickets")
@@ -91,10 +113,10 @@ def main(argv=None) -> int:
     if args.measure:
         print(measure(args.measure))
         return 0
-    if not args.src or args.rounds < 2:
-        parser.error("give at least one source directory and two rounds")
+    if not args.src:
+        parser.error("give at least one source directory")
     runs = {model: {src: [] for src in args.src} for model in MODELS}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = args.src if r % 2 == 0 else args.src[::-1]
         for model in MODELS:
             for src in order:
@@ -103,9 +125,10 @@ def main(argv=None) -> int:
                 print(f"round {r} {model} {src}: {rate:.2f} steps/s", flush=True)
     doc = {
         "metric": "training steps per second (loss_and_grad + sgd_step), higher is better",
-        "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                        "numpy": np.__version__, "machine": platform.machine()},
-        "method": (f"{args.rounds} rounds; each round runs every model on every tree in a "
+        "environment": {"nproc": len(os.sched_getaffinity(0)), "cpu": cpu_model(),
+                        "machine": platform.machine(), "python": platform.python_version(),
+                        "numpy": np.__version__, "blas": blas()},
+        "method": (f"{ROUNDS} rounds; each round runs every model on every tree in a "
                    f"fresh interpreter, tree order reversed on odd rounds; {WARMUP_STEPS} "
                    "warm-up steps, then the timed steps"),
         "models": {model: {"family": spec[0], "depth": spec[1], "batch": spec[2],
