@@ -19,15 +19,21 @@ frame. A conv's tape entry holds its padded input, kh*kw times smaller than
 its im2col matrix.
 
 No conv ever holds the patch matrix of a whole batch. The forward GEMMs one
-block of images at a time into its slice of the output, and the backward
-runs one (dW, dx) GEMM pair per kernel tap over that tap's shifted window.
-Both splits give the same bits as the unsplit GEMM only while every piece
+block of images at a time into its slice of the output. The backward runs
+one whole-batch dW GEMM per kernel tap over that tap's shifted window, and
+the dx GEMMs and their adds tap by tap within each block of images.
+``_image_blocks`` sizes every block from the shape, so that a block's GEMM
+rows (patch width for the forward, channel width for dx) fit in about 2 MiB
+of cache.
+These splits give the same bits as the unsplit GEMM only while every piece
 stays on OpenBLAS's blocked GEMM kernel: a one-row product takes the gemv
 path, and products below about 1e6 multiply-adds take the small-matrix
-kernel, and either sums in another order. So forward blocks hold at least
-``_PATCH_ROWS`` patch rows (the last partial block joins the one before it),
-and a backward whose per-tap GEMMs fall under ``_TAP_GEMM_FLOOR``
-multiply-adds, or have a single row or column, takes all taps in one GEMM.
+kernel, and either sums in another order. So a block holds at least 1024
+rows and ``_TAP_GEMM_FLOOR`` multiply-adds (the last partial block joins the
+one before it), and a backward whose per-tap GEMMs fall under
+``_TAP_GEMM_FLOOR`` multiply-adds, or have a single row or column, takes all
+taps in one whole-batch GEMM. dW is never split by rows: each of its entries
+sums over every row.
 """
 
 from __future__ import annotations
@@ -138,9 +144,25 @@ def _im2col(x_pad, kh, kw, stride, h_out, w_out):
 
 
 # Split floors that keep every conv GEMM on the blocked kernel (module
-# docstring): 51 200 patch rows is 50 images at 32x32.
-_PATCH_ROWS = 51_200
+# docstring), and the cache budget of a GEMM block: 2**19 elements is 2 MiB
+# of float32. Below 1024 rows OpenBLAS repacks the weight matrix too often.
 _TAP_GEMM_FLOOR = 1 << 22
+_BLOCK_ELEMS = 1 << 19
+_BLOCK_MIN_ROWS = 1024
+
+
+def _image_blocks(n, image_rows, width, macs_per_row):
+    """Bounds (b0, b1) of the image blocks a conv GEMM runs over.
+
+    A block is a run of whole images holding at least
+    ``max(_BLOCK_MIN_ROWS, _BLOCK_ELEMS // width)`` GEMM rows of ``width``
+    elements and at least ``_TAP_GEMM_FLOOR`` multiply-adds; a short last
+    block joins the one before it, so a batch under one block is one block.
+    """
+    rows = max(_BLOCK_MIN_ROWS, _BLOCK_ELEMS // width, -(-_TAP_GEMM_FLOOR // macs_per_row))
+    step = -(-rows // image_rows)
+    starts = [k * step for k in range(max(1, n // step))]
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _conv_f(x, w, stride, pad):
@@ -149,17 +171,15 @@ def _conv_f(x, w, stride, pad):
     if c != c_in:
         raise ShapeError(f"conv input channels {c} != weight channels {c_in}")
     if pad:
-        x_pad = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        x_pad = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)
+        x_pad[:, pad:pad + h, pad:pad + wd] = x
     else:
         x_pad = x
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (wd + 2 * pad - kw) // stride + 1
     wmat = np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f))
     y = np.empty((n, h_out, w_out, f), dtype=np.result_type(x_pad, wmat))
-    step = max(1, _PATCH_ROWS // (h_out * w_out))
-    blocks = max(1, n // step)
-    for k in range(blocks):
-        b0, b1 = k * step, (n if k == blocks - 1 else (k + 1) * step)
+    for b0, b1 in _image_blocks(n, h_out * w_out, kh * kw * c, kh * kw * c * f):
         mat = _im2col(x_pad[b0:b1], kh, kw, stride, h_out, w_out)
         np.matmul(mat, wmat, out=y[b0:b1].reshape(-1, f))
     return y, (x_pad, w, stride, pad, h_out, w_out)
@@ -169,38 +189,49 @@ def _conv_b(cache, dy, need_dx=True):
     x_pad, w, stride, pad, h_out, w_out = cache
     n = x_pad.shape[0]
     f, c, kh, kw = w.shape
-    dy_mat = dy.reshape(n * h_out * w_out, f)
+    image_rows = h_out * w_out
+    dy_mat = dy.reshape(n * image_rows, f)
     wmat = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
     dwmat = np.empty(wmat.shape, dtype=np.result_type(x_pad, dy_mat))
-    dx_pad = np.zeros(x_pad.shape, dtype=dy.dtype) if need_dx else None
-    windows = [(slice(None), slice(i, i + stride * h_out, stride),
-                slice(j, j + stride * w_out, stride)) for i in range(kh) for j in range(kw)]
-    if min(c, f) > 1 and dy_mat.shape[0] * c * f >= _TAP_GEMM_FLOOR:
-        groups = [[win] for win in windows]
-    else:
-        groups = [windows]
-    for g, group in enumerate(groups):
-        # this group's columns of the patch matrix, and rows of dW
-        rows = slice(g * len(group) * c, (g + 1) * len(group) * c)
-        cols = np.stack([x_pad[win] for win in group], axis=3).reshape(-1, len(group) * c)
-        np.matmul(cols.T, dy_mat, out=dwmat[rows])
-        del cols  # freed before dcols, which is as large
-        if need_dx:
-            dcols = (dy_mat @ wmat[rows].T).reshape(n, h_out, w_out, len(group), c)
-            for t, win in enumerate(group):
-                dx_pad[win] += dcols[:, :, :, t, :]
-    dw = dwmat.reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
-    if need_dx and pad:
+    windows = [(slice(i, i + stride * h_out, stride), slice(j, j + stride * w_out, stride))
+               for i in range(kh) for j in range(kw)]
+    split = min(c, f) > 1 and dy_mat.shape[0] * c * f >= _TAP_GEMM_FLOOR
+    groups = [[win] for win in windows] if split else [windows]
+    # a group's columns of the patch matrix, and rows of dW
+    taps = [slice(g * len(group) * c, (g + 1) * len(group) * c) for g, group in enumerate(groups)]
+    # dW sums over every row, so its products stay whole-batch
+    for group, rows in zip(groups, taps):
+        cols = np.stack([x_pad[:, hs, ws] for hs, ws in group], axis=3)
+        np.matmul(cols.reshape(-1, len(group) * c).T, dy_mat, out=dwmat[rows])
+        del cols
+    dw = np.ascontiguousarray(dwmat.reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
+    if not need_dx:
+        return None, dw
+    dx_pad = np.zeros(x_pad.shape, dtype=dy.dtype)
+    # each dx element lies in one image block and takes its taps in (i, j)
+    # order, as a whole-batch pass would add them
+    blocks = _image_blocks(n, image_rows, c, c * f) if split else [(0, n)]
+    for b0, b1 in blocks:
+        dy_block = dy_mat[b0 * image_rows : b1 * image_rows]
+        for group, rows in zip(groups, taps):
+            dcols = (dy_block @ wmat[rows].T).reshape(b1 - b0, h_out, w_out, len(group), c)
+            for t, (hs, ws) in enumerate(group):
+                dx_pad[b0:b1, hs, ws] += dcols[:, :, :, t, :]
+    if pad:
         dx_pad = dx_pad[:, pad:-pad, pad:-pad, :]
-    return dx_pad, np.ascontiguousarray(dw)
+    return dx_pad, dw
 
 
 def _bn_f(x, gamma, beta, rmean, rvar, mode, eps=BN_EPS, momentum=BN_MOMENTUM):
     axes = (0, 1, 2) if x.ndim == 4 else (0,)
     if mode in ("train", "collect"):
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
         m = x.size // x.shape[-1]
+        mean = x.mean(axis=axes)
+        xhat = x - mean  # channels-last broadcast
+        # x.var's own ops: its division by an intp count runs in float64,
+        # which differs from a float32 one once m is inexact in float32
+        var = (xhat * xhat).sum(axis=axes)
+        np.true_divide(var, np.intp(m), out=var, casting="unsafe")
         if mode == "collect":
             # raw batch moments for whole-pass aggregation, no EMA
             new_rmean, new_rvar = (mean, m), (var, m)
@@ -212,8 +243,8 @@ def _bn_f(x, gamma, beta, rmean, rvar, mode, eps=BN_EPS, momentum=BN_MOMENTUM):
         mean = rmean.astype(x.dtype)
         var = rvar.astype(x.dtype)
         new_rmean, new_rvar = rmean, rvar
+        xhat = x - mean
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = x - mean  # channels-last broadcast
     xhat *= invstd
     y = gamma * xhat
     y += beta

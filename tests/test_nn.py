@@ -247,6 +247,37 @@ def test_batchnorm_eval_is_affine():
     assert np.array_equal(y1, y3)
 
 
+# the BN inputs of the presets' ResNets at their batches (100, 128 and the
+# 500-image stats pass), VGG-16 at 128, and odd shapes
+@pytest.mark.parametrize("shape", [(100, 32, 32, 16), (100, 16, 16, 32), (100, 8, 8, 64),
+                                   (128, 32, 32, 16), (500, 8, 8, 64), (128, 16, 16, 128),
+                                   (128, 2, 2, 512), (7, 5, 3, 3), (128, 512), (37, 10)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_batch_moments_bit_equal_to_numpy(shape, dtype):
+    ch = shape[-1]
+    rng = Rng(9)
+    x = (rng.normal64("init", int(np.prod(shape))) * 3 + 1).reshape(shape).astype(dtype)
+    gamma = (0.5 + rng.uniform64("init", ch)).astype(dtype)
+    beta = rng.normal64("init", ch).astype(dtype)
+    rmean, rvar = np.zeros(ch, np.float32), np.ones(ch, np.float32)
+    axes = tuple(range(x.ndim - 1))
+    mean, var = x.mean(axis=axes), x.var(axis=axes)
+    _, _, (got_mean, m), (got_var, _) = nn._bn_f(x, gamma, beta, rmean, rvar, "collect")
+    assert m == x.size // ch
+    assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
+    invstd = 1.0 / np.sqrt(var + nn.BN_EPS)
+    xhat = (x - mean) * invstd
+    y, (got_xhat, got_invstd, *_), new_rmean, new_rvar = nn._bn_f(
+        x, gamma, beta, rmean, rvar, "train")
+    assert np.array_equal(got_xhat, xhat) and np.array_equal(got_invstd, invstd)
+    assert np.array_equal(y, gamma * xhat + beta)
+    unbiased = var * (m / (m - 1))
+    assert np.array_equal(new_rvar, ((1 - nn.BN_MOMENTUM) * rvar
+                                     + nn.BN_MOMENTUM * unbiased).astype(np.float32))
+    assert np.array_equal(new_rmean, ((1 - nn.BN_MOMENTUM) * rmean
+                                      + nn.BN_MOMENTUM * mean).astype(np.float32))
+
+
 def test_backward_rejects_eval_cache():
     a = arch.mlp_arch([4, 3])
     params = arch.init_params(a, Rng(8))
@@ -401,6 +432,10 @@ def assert_conv_bit_equal(n, side, c, f, k, pad, stride, dtype, seed=55):
     (40, 32, 16, 32, 3, 1, 2),   # 3x3 pad 1 stride 2
     (40, 32, 16, 32, 1, 0, 2),   # 1x1 stride-2 shortcut
     (48, 32, 3, 32, 3, 1, 1),    # RGB input
+    # dx in image blocks of max(1024, 2**19 // c) rows, the second with a tail
+    (70, 32, 16, 16, 3, 1, 1),   # 32 and 38 images
+    (140, 16, 32, 32, 3, 1, 1),  # 64 and 76 images
+    (300, 16, 64, 64, 3, 1, 2),  # 128 and 172 images, overlapping stride-2 taps
 ])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_kernels_bit_equal_to_whole_batch(n, side, c, f, k, pad, stride, dtype):
@@ -423,20 +458,33 @@ def test_conv_kernels_bit_equal_below_split_floor(n, side, c, f, k, pad, stride,
     assert_conv_bit_equal(n, side, c, f, k, pad, stride, dtype)
 
 
-def spy_im2col(monkeypatch):
-    """Record the row count of every patch matrix the kernels build."""
-    rows, im2col = [], nn._im2col
+def block_rows(width, filters):
+    """The block rule's fewest GEMM rows: 2**19 elements (2 MiB of float32)
+    of ``width``, at least 1024 rows and at least 2**22 multiply-adds."""
+    return max(1024, (1 << 19) // width, -(-(1 << 22) // (width * filters)))
 
-    def spy(*args):
-        mat = im2col(*args)
-        rows.append(mat.shape[0])
+
+def spy_conv_blocks(monkeypatch):
+    """Record, per ``_conv_f`` call, its filter count and the (images, rows,
+    width) of every patch matrix it builds."""
+    convs, conv_f, im2col = [], nn._conv_f, nn._im2col
+
+    def conv_spy(x, w, stride, pad):
+        convs.append((w.shape[0], []))
+        return conv_f(x, w, stride, pad)
+
+    def im2col_spy(x_pad, *args):
+        mat = im2col(x_pad, *args)
+        convs[-1][1].append((x_pad.shape[0], *mat.shape))
         return mat
 
-    monkeypatch.setattr(nn, "_im2col", spy)
-    return rows
+    monkeypatch.setattr(nn, "_conv_f", conv_spy)
+    monkeypatch.setattr(nn, "_im2col", im2col_spy)
+    return convs
 
 
-# 4096 patch rows are 4 images at 32x32, still far above the small-GEMM regime
+# a 3x3 conv of 16 channels has patch width 144: a block needs
+# max(1024, 3640, 1821) rows, which 4 whole 32x32 images (4096 rows) first hold
 @pytest.mark.parametrize("n, blocks", [
     (3, [3]),           # under one block: the whole batch
     (4, [4]),           # exactly one block
@@ -446,14 +494,13 @@ def spy_im2col(monkeypatch):
 ])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_forward_blocks_fill_span_and_tail(monkeypatch, n, blocks, dtype):
-    monkeypatch.setattr(nn, "_PATCH_ROWS", 4096)
-    rows = spy_im2col(monkeypatch)
+    assert 3 * 1024 < block_rows(144, 16) <= 4 * 1024
+    convs = spy_conv_blocks(monkeypatch)
     rng = Rng(56)
     x = rng.normal64("init", n * 32 * 32 * 16).reshape(n, 32, 32, 16).astype(dtype)
     w = rng.normal64("init", 16 * 16 * 9).reshape(16, 16, 3, 3).astype(dtype)
     y, _ = nn._conv_f(x, w, 1, 1)
-    assert rows == [b * 1024 for b in blocks]
-    rows.clear()
+    assert convs == [(16, [(b, b * 1024, 144) for b in blocks])]
     y_ref, _ = whole_batch_conv_f(x, w, 1, 1)
     assert np.array_equal(y, y_ref)
 
@@ -463,14 +510,20 @@ def test_eval_forward_never_builds_a_whole_batch_patch_matrix(monkeypatch):
     params = arch.init_params(a, Rng(57))
     x = Rng(58).normal64("init", 500 * 3 * 32 * 32).reshape(500, 3, 32, 32).astype(np.float32)
     want, _ = nn.forward(a, params, x, "eval")
-    rows = spy_im2col(monkeypatch)
+    convs = spy_conv_blocks(monkeypatch)
     got, _ = nn.forward(a, params, x, "eval")
     assert np.array_equal(got, want)
-    # every block holds the budget, up to twice that with a merged tail (a
-    # whole-batch matrix at 32x32 holds 512 000 rows); at 8x8 the whole
-    # batch is 32 000 rows, under the budget, and goes as one block
-    assert rows and max(rows) < 2 * nn._PATCH_ROWS
-    assert all(r >= nn._PATCH_ROWS or r == 500 * 8 * 8 for r in rows)
+    assert len(convs) == 9
+    for filters, blocks in convs:
+        images, rows, widths = zip(*blocks)
+        image_rows, width = rows[0] // images[0], widths[0]
+        # the fewest whole images that hold the block rule's rows
+        step = -(-block_rows(width, filters) // image_rows)
+        assert sum(images) == 500 and len(blocks) == max(1, 500 // step)
+        assert all(i == step for i in images[:-1])
+        assert images[-1] < 2 * step  # a short tail joins the block before it
+        # only the 8x8 1x1 shortcut (32 000 rows of width 32) is under two blocks
+        assert len(blocks) > 1 or (image_rows, width) == (64, 32)
 
 
 def test_backward_builds_no_patch_matrix(monkeypatch):
@@ -617,9 +670,10 @@ def test_forward_macs_counts_the_sides_the_convs_output(monkeypatch):
     assert arch.forward_macs(a) == sum(macs) + 64 * 10
 
 
-def test_resnet_eval_peak_stays_under_eight_stage0_activations():
+def test_resnet_eval_peak_stays_under_five_stage0_activations():
     # A 500-image 32x32 ResNet-8 eval; one stage-0 activation is 500x32x32x16
-    # float32 = 31.25 MiB. A block whose branch outputs outlive it peaks higher.
+    # float32 = 31.25 MiB. A block whose branch outputs outlive it, or a conv
+    # GEMM block far past the cache budget, peaks higher.
     a = arch.derive_arch("resnet_cifar", 8)
     params = arch.init_params(a, Rng(72))
     x = Rng(73).normal64("init", 500 * 3 * 32 * 32).reshape(500, 3, 32, 32).astype(np.float32)
@@ -629,7 +683,7 @@ def test_resnet_eval_peak_stays_under_eight_stage0_activations():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 500 * 32 * 32 * 16 * 4
+    assert peak < 5 * 500 * 32 * 32 * 16 * 4
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@
 
 A step is ``nn.loss_and_grad`` plus ``nn.sgd_step`` on one fixed seeded
 batch, with every weight kept (an all-ones mask): MLP-2 at batch 128 on
-MNIST-shaped input, and ResNet-14 at batch 100 on CIFAR-shaped input, each
-with its preset's optimizer settings. Each source tree is a directory
+MNIST-shaped input, and ResNet-14 and ResNet-20 at batch 100 and VGG-16 at
+batch 128 on CIFAR-shaped input, each with its preset's optimizer settings
+(VGG-16 has no preset and takes the CIFAR ones). A VGG-16 step takes seconds
+and about 1.2 GB, so it times few steps. Each source tree is a directory
 holding the ``elastic_tickets`` package, and is named in the output as it was
 given. Each of ``ROUNDS`` rounds measures every model on every tree in a
 fresh interpreter, with the tree order reversed from one
@@ -35,6 +37,8 @@ import numpy as np
 MODELS = {
     "mlp2": ("mlp", 2, 128, (1, 28, 28), 0.0, 200),
     "resnet14": ("resnet_cifar", 14, 100, (3, 32, 32), 1e-4, 10),
+    "resnet20": ("resnet_cifar", 20, 100, (3, 32, 32), 1e-4, 6),
+    "vgg16": ("vgg_cifar", 16, 128, (3, 32, 32), 1e-4, 3),
 }
 WARMUP_STEPS = 2
 # Ten rounds, so that a difference is seen on ten interleaved pairs.
