@@ -457,6 +457,14 @@ def cmd_compare(config: dict, out_root: str | None, seed: int | None, jobs: int 
     if "imp" not in methods and "ett" not in methods:
         raise ConfigError("config.methods must include 'imp' or 'ett' as the sparsity reference")
     source_arch = resolve_arch(config["arch"])
+    legs = config.get("transform", [{"target": config["arch"]}])
+    legs = legs if isinstance(legs, list) else [legs]
+    specs = [_build_transform(source_arch, leg) for leg in legs]
+    targets = [spec.target_arch.name() for spec in specs]
+    shared = sorted({name for name in targets if targets.count(name) > 1})
+    if shared:
+        raise ConfigError(f"config.transform: several legs target {', '.join(shared)}; "
+                          f"their tickets and comparison files would overwrite each other")
     train_ds, test_ds, augment_fn = resolve_data(config["data"])
     seeds = _seeds(config, seed)
     base_seed = seeds[0]
@@ -472,12 +480,8 @@ def cmd_compare(config: dict, out_root: str | None, seed: int | None, jobs: int 
     for k, t in enumerate(src_result.tickets, start=1):
         save_ticket(t, tickets_dir / f"{source_arch.name()}-imp-round-{k:02d}.eltk")
 
-    legs = config.get("transform", [{"target": config["arch"]}])
-    legs = legs if isinstance(legs, list) else [legs]
     cfg = resolve_train(config["train"], base_seed)
-    for leg in legs:
-        spec = _build_transform(source_arch, leg)
-        target_name = spec.target_arch.name()
+    for spec, target_name in zip(specs, targets):
         tickets, reference = _build_method_tickets(
             methods, source_arch, src_result, train_ds, cfg, config, spec,
             base_seed, augment_fn, test_ds)

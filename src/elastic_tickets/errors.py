@@ -45,6 +45,10 @@ class TicketBadChecksum(TicketLoadError):
     pass
 
 
+class TicketInvalid(TicketLoadError):
+    """The file decodes, but its ticket fails ``ticket.check_ticket``."""
+
+
 class DataParseError(ElasticTicketsError, ValueError):
     """Base class for dataset file parsing failures."""
 

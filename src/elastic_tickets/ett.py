@@ -198,10 +198,10 @@ def _copy_unit(src_arch, src_unit, tgt_arch, tgt_unit, ticket, params, mask):
     pre_s = src_unit.prefix + "/"
     pre_t = tgt_unit.prefix + "/"
     for path in arch_mod.unit_param_paths(src_arch, src_unit):
-        params[pre_t + path[len(pre_s):]] = ticket.rewind_weights[path].copy()
+        params[pre_t + path[len(pre_s):]] = ticket.rewind_weights[path]
     for path in ticket.mask:
         if path.startswith(pre_s):
-            mask[pre_t + path[len(pre_s):]] = ticket.mask[path].copy()
+            mask[pre_t + path[len(pre_s):]] = ticket.mask[path]
 
 
 def _permute_unit_mask(mask: dict, tgt_arch, tgt_unit, rng: Rng) -> None:
@@ -209,7 +209,7 @@ def _permute_unit_mask(mask: dict, tgt_arch, tgt_unit, rng: Rng) -> None:
     for path in sorted(p for p in mask if p.startswith(pre)):
         m = mask[path]
         perm = rng.permutation("mask-permutation", m.size)
-        mask[path] = m.ravel()[perm].reshape(m.shape).copy()
+        mask[path] = m.ravel()[perm].reshape(m.shape)
 
 
 def _history_entry(spec: TransformSpec, source_arch: ArchDescriptor) -> dict:
@@ -235,9 +235,9 @@ def stretch(ticket: SparseTicket, spec: TransformSpec, rng: Rng | None = None) -
     params: dict[str, np.ndarray] = {}
     mask: dict[str, np.ndarray] = {}
     for path in _passthrough_paths(ticket.arch):
-        params[path] = ticket.rewind_weights[path].copy()
+        params[path] = ticket.rewind_weights[path]
         if path in ticket.mask:
-            mask[path] = ticket.mask[path].copy()
+            mask[path] = ticket.mask[path]
     for su, tu, sel in zip(src_groups, tgt_groups, spec.per_stage_selection):
         _validate_selection(su, sel, unique=False)
         order = _stretch_order(len(su), sel, spec.ordering or APPENDING)
@@ -271,9 +271,9 @@ def squeeze(ticket: SparseTicket, spec: TransformSpec) -> SparseTicket:
     params: dict[str, np.ndarray] = {}
     mask: dict[str, np.ndarray] = {}
     for path in _passthrough_paths(ticket.arch):
-        params[path] = ticket.rewind_weights[path].copy()
+        params[path] = ticket.rewind_weights[path]
         if path in ticket.mask:
-            mask[path] = ticket.mask[path].copy()
+            mask[path] = ticket.mask[path]
     for su, tu, sel in zip(src_groups, tgt_groups, spec.per_stage_selection):
         _validate_selection(su, sel, unique=True)
         keep = [i for i in range(len(su)) if i not in set(sel)]

@@ -19,7 +19,8 @@ from . import nn
 from .arch import ArchDescriptor
 from .errors import ConfigError, DomainError
 from .tensor import Rng
-from .ticket import SparseTicket, all_ones_mask, make_ticket, reinit_ticket, sparsity
+from .ticket import (SparseTicket, all_ones_mask, apply_mask, make_ticket, reinit_ticket,
+                     sparsity)
 
 
 @dataclass
@@ -84,23 +85,31 @@ def _keep_first_mask(keys: np.ndarray, alive: np.ndarray, keep: int) -> np.ndarr
     ``keys`` orders candidates keep-first (smaller key = kept earlier); position
     is the concatenated (path order, flat index) position, the global tie-break.
 
-    The keep-th smallest key (the pivot) is found by selection; every key
-    below it is kept and the rest are filled from the keys equal to it, in
-    position order, which is the full (key, position) sort's choice. NaN keys
-    rank last, as in the sort; when the pivot is NaN, or nothing is dropped,
-    the full sort runs.
+    The keep-th smallest alive key (the pivot) is found by partitioning a
+    compact copy of the alive keys in place. Every alive key below the pivot
+    is kept, and the first alive keys equal to it, in position order, fill
+    the rest: the full (key, position) sort's choice, found with whole-array
+    comparisons and no index array of the alive entries. NaN keys rank last,
+    as in the sort; when the pivot is NaN, or nothing is dropped, the full
+    sort runs.
     """
-    idx = np.nonzero(alive)[0]
-    k = keys[idx]
-    pivot = np.partition(k, keep - 1)[keep - 1] if 0 < keep < idx.size else np.nan
-    if np.isnan(pivot):
-        kept = idx[np.lexsort((idx, k))[:keep]]  # primary: key, secondary: position
+    k = keys[alive]
+    if 0 < keep < k.size:
+        k.partition(keep - 1)
+        pivot = k[keep - 1]
     else:
-        below = k < pivot
-        ties = np.flatnonzero(k == pivot)[: keep - np.count_nonzero(below)]
-        kept = np.concatenate([idx[below], idx[ties]])
-    mask = np.zeros(keys.shape[0], dtype=np.float32)
-    mask[kept] = 1.0
+        pivot = np.nan
+    del k
+    if np.isnan(pivot):
+        idx = np.nonzero(alive)[0]
+        kept = idx[np.lexsort((idx, keys[idx]))[:keep]]  # primary: key, secondary: position
+        mask = np.zeros(keys.shape[0], dtype=np.float32)
+        mask[kept] = 1.0
+        return mask
+    below = alive & (keys < pivot)
+    need = keep - np.count_nonzero(below)
+    mask = below.astype(np.float32)
+    mask[np.flatnonzero(alive & (keys == pivot))[:need]] = 1.0
     return mask
 
 
@@ -125,17 +134,17 @@ def magnitude_prune(weights: dict[str, np.ndarray], mask: dict[str, np.ndarray],
     """
     paths, _, _ = _flat_index(arch)
     shapes = {s.path: s.shape for s in arch_mod.param_specs(arch)}
-    w = _concat(weights, paths)
-    m = _concat(mask, paths)
-    total = w.size
+    keys = _concat(weights, paths)
+    total = keys.size
     target_zeros = _target_zero_count(total, target_sparsity)
-    current_zeros = total - int(np.count_nonzero(m))
+    current_zeros = total - sum(int(np.count_nonzero(mask[p])) for p in paths)
     if target_zeros < current_zeros:
         raise DomainError(
             f"target sparsity {target_zeros}/{total} below current {current_zeros}/{total}")
     keep = total - target_zeros
-    new_flat = _keep_first_mask(-np.abs(w), m > 0, keep)
-    return _split(new_flat, paths, shapes)
+    np.negative(np.abs(keys, out=keys), out=keys)  # -|w| on the fresh concatenation
+    alive = np.concatenate([np.asarray(mask[p]).ravel() > 0 for p in paths])
+    return _split(_keep_first_mask(keys, alive, keep), paths, shapes)
 
 
 def snip_saliency(arch: ArchDescriptor, weights: dict[str, np.ndarray],
@@ -223,7 +232,7 @@ def random_prune(ticket: SparseTicket, rng: Rng,
     for path in sorted(ticket.mask):
         m = ticket.mask[path]
         perm = rng.permutation("mask-permutation", m.size)
-        new_mask[path] = m.ravel()[perm].reshape(m.shape).copy()
+        new_mask[path] = m.ravel()[perm].reshape(m.shape)
     weights = dense_rewind if dense_rewind is not None else ticket.rewind_weights
     prov = dict(ticket.provenance)
     prov["method"] = "random"
@@ -300,9 +309,7 @@ def imp_run(arch: ArchDescriptor, train_data, test_data, cfg: ImpConfig,
     tickets: list[SparseTicket] = []
     metrics: list[nn.MetricsRecord] = []
     for k in range(1, cfg.rounds + 1):
-        start = {p: v.copy() for p, v in dense_rewind.items()}
-        for p in mask:
-            start[p] = start[p] * mask[p]
+        start = apply_mask(dense_rewind, mask)
         trained, record = nn.train(arch, start, mask, train_data, test_data, cfg.train,
                                    augment_fn=augment_fn, step_offset=cfg.rewind_step)
         alive = sum(int(np.count_nonzero(m)) for m in mask.values())

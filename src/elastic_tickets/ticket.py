@@ -8,12 +8,22 @@ The ``.eltk`` container is deliberately dumb so any language can read it:
 The header carries the architecture, metadata, and a tensor index of
 (name, kind, shape, offset, length) entries; ``f32`` tensors are raw float32
 and masks are one byte per entry (0/1). Round trips are bit-exact.
+
+``save_ticket`` builds the index from shapes alone, then streams each tensor
+from its own buffer while it updates the CRC, so it holds no payload copy; it
+writes a temporary file beside the target and renames it into place, so the
+path holds either the previous file or the complete new one. ``load_ticket``
+reads the file once, slices tensors out of it without copying, keeps one
+array per tensor, and rejects a file whose ticket fails ``check_ticket``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -22,7 +32,7 @@ import numpy as np
 from . import arch as arch_mod
 from .arch import ArchDescriptor
 from .errors import (ShapeError, TicketBadChecksum, TicketBadMagic,
-                     TicketBadVersion, TicketTruncated)
+                     TicketBadVersion, TicketInvalid, TicketTruncated)
 from .tensor import Rng
 
 _MAGIC = b"ELTK"
@@ -94,13 +104,13 @@ def check_ticket(ticket: SparseTicket) -> list[str]:
         if tuple(m.shape) != spec_shapes[path]:
             problems.append(f"mask {path} has shape {tuple(m.shape)}, expected {spec_shapes[path]}")
             continue
-        vals = np.unique(m)
-        if not np.isin(vals, (0.0, 1.0)).all():
+        zero = m == 0
+        if not (zero | (m == 1)).all():
             problems.append(f"mask {path} has non-binary entries")
             continue
         w = ticket.rewind_weights.get(path)
         if w is not None and tuple(w.shape) == spec_shapes[path]:
-            if np.any((m == 0) & (w != 0)):
+            if np.any(zero & (w != 0)):
                 problems.append(f"weights at {path} are nonzero under a zero mask")
     return problems
 
@@ -112,9 +122,12 @@ def validate_ticket(ticket: SparseTicket) -> None:
 
 
 def apply_mask(weights: dict[str, np.ndarray], mask: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    out = {k: v.copy() for k, v in weights.items()}
+    """New arrays: weight * mask for masked paths (one product each), a copy
+    of every other weight."""
+    out = {k: v if k in mask else v.copy() for k, v in weights.items()}
     for path, m in mask.items():
-        out[path] = (out[path] * m).astype(out[path].dtype)
+        w = weights[path]
+        out[path] = (w * m).astype(w.dtype, copy=False)
     return out
 
 
@@ -148,23 +161,17 @@ def reinit_ticket(ticket: SparseTicket, rng: Rng) -> SparseTicket:
 
 
 def save_ticket(ticket: SparseTicket, path) -> None:
+    tensors = ([(name, "f32", ticket.rewind_weights[name])
+                for name in sorted(ticket.rewind_weights)]
+               + [(name, "mask-u8", ticket.mask[name]) for name in sorted(ticket.mask)])
     index = []
-    chunks = []
     offset = 0
-    for name in sorted(ticket.rewind_weights):
-        arr = np.ascontiguousarray(ticket.rewind_weights[name], dtype=np.float32)
-        raw = arr.tobytes()
-        index.append({"name": name, "kind": "f32", "shape": list(arr.shape),
-                      "offset": offset, "length": len(raw)})
-        chunks.append(raw)
-        offset += len(raw)
-    for name in sorted(ticket.mask):
-        arr = np.ascontiguousarray(ticket.mask[name]).astype(np.uint8)
-        raw = arr.tobytes()
-        index.append({"name": name, "kind": "mask-u8", "shape": list(arr.shape),
-                      "offset": offset, "length": len(raw)})
-        chunks.append(raw)
-        offset += len(raw)
+    for name, kind, arr in tensors:
+        shape = list(np.shape(arr)) or [1]  # stored arrays are at least 1-d
+        length = math.prod(shape) * (4 if kind == "f32" else 1)
+        index.append({"name": name, "kind": kind, "shape": shape,
+                      "offset": offset, "length": length})
+        offset += length
     header = {
         "arch": arch_mod.arch_to_json(ticket.arch),
         "meta": {
@@ -175,14 +182,25 @@ def save_ticket(ticket: SparseTicket, path) -> None:
         "tensors": index,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(chunks)
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}."
+                       f"{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC + struct.pack("<IQ", _VERSION, len(header_bytes)) + header_bytes)
+            crc = 0
+            for _, kind, arr in tensors:
+                stored = (np.ascontiguousarray(arr, dtype=np.float32) if kind == "f32"
+                          else np.ascontiguousarray(arr).astype(np.uint8))
+                buf = memoryview(stored).cast("B")
+                crc = zlib.crc32(buf, crc)
+                f.write(buf)
+            f.write(struct.pack("<I", crc & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_ticket(path) -> SparseTicket:
@@ -199,7 +217,7 @@ def load_ticket(path) -> SparseTicket:
     if len(blob) < 16 + header_len + 4:
         raise TicketTruncated(f"{path}: truncated header/payload")
     header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-    payload = blob[16 + header_len : -4]
+    payload = memoryview(blob)[16 + header_len : len(blob) - 4]
     expected = max((e["offset"] + e["length"] for e in header["tensors"]), default=0)
     if len(payload) < expected:
         raise TicketTruncated(
@@ -216,6 +234,7 @@ def load_ticket(path) -> SparseTicket:
             raise TicketTruncated(f"{path}: tensor {entry['name']} extends past payload end")
         raw = payload[lo:hi]
         shape = tuple(entry["shape"])
+        # the payload offset is not aligned in general: copy each tensor out of it
         if entry["kind"] == "f32":
             weights[entry["name"]] = np.frombuffer(raw, dtype=np.float32).reshape(shape).copy()
         elif entry["kind"] == "mask-u8":
@@ -223,7 +242,7 @@ def load_ticket(path) -> SparseTicket:
         else:
             raise TicketBadVersion(f"{path}: unknown tensor kind {entry['kind']!r}")
     meta = header["meta"]
-    return SparseTicket(
+    ticket = SparseTicket(
         arch=arch_mod.arch_from_json(header["arch"]),
         rewind_weights=weights,
         mask=mask,
@@ -231,3 +250,7 @@ def load_ticket(path) -> SparseTicket:
         provenance=meta["provenance"],
         created_at=meta["created_at"],
     )
+    problems = check_ticket(ticket)
+    if problems:
+        raise TicketInvalid(f"{path}: invalid ticket: " + "; ".join(problems))
+    return ticket

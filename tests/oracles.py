@@ -8,7 +8,10 @@ the fast paths is meaningful evidence.
 
 from __future__ import annotations
 
+import json
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -164,3 +167,45 @@ def oracle_fd_grad(loss_fn, theta: np.ndarray, h: float = 1e-4) -> np.ndarray:
         flat[i] = orig
         g[i] = (up - down) / (2.0 * h)
     return grad
+
+
+def oracle_encode_ticket(arch_doc: dict, meta: dict, weights: dict, mask: dict) -> bytes:
+    """The v1 ``.eltk`` bytes built the simple way: a ``tobytes`` copy of each
+    tensor and one joined payload. ``arch_doc`` is the arch's JSON form and
+    ``meta`` holds ``rewind_step``, ``provenance`` and ``created_at``."""
+    index, chunks, offset = [], [], 0
+    for kind, tensors in (("f32", weights), ("mask-u8", mask)):
+        for name in sorted(tensors):
+            if kind == "f32":
+                arr = np.ascontiguousarray(tensors[name], dtype=np.float32)
+            else:
+                arr = np.ascontiguousarray(tensors[name]).astype(np.uint8)
+            raw = arr.tobytes()
+            index.append({"name": name, "kind": kind, "shape": list(arr.shape),
+                          "offset": offset, "length": len(raw)})
+            chunks.append(raw)
+            offset += len(raw)
+    header = json.dumps({"arch": arch_doc, "meta": meta, "tensors": index},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = b"".join(chunks)
+    return (b"ELTK" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header
+            + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+def oracle_decode_ticket(blob: bytes) -> tuple[dict, dict, dict]:
+    """(header, weights, masks) of a v1 ``.eltk`` file, decoded with a copy of
+    the payload and of each tensor's bytes. Checks nothing but the CRC."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+    payload = blob[16 + header_len : -4]
+    if zlib.crc32(payload) & 0xFFFFFFFF != struct.unpack("<I", blob[-4:])[0]:
+        raise ValueError("payload CRC32 mismatch")
+    weights, masks = {}, {}
+    for entry in header["tensors"]:
+        raw = payload[entry["offset"] : entry["offset"] + entry["length"]]
+        shape = tuple(entry["shape"])
+        if entry["kind"] == "f32":
+            weights[entry["name"]] = np.frombuffer(raw, dtype=np.float32).reshape(shape).copy()
+        else:
+            masks[entry["name"]] = np.frombuffer(raw, dtype=np.uint8).reshape(shape).astype(np.float32)
+    return header, weights, masks

@@ -197,6 +197,16 @@ class TestCompareCommand:
         rows = list(csv.DictReader(open(out / "synth-compare" / "comparison-mlp[16,10,6,4].csv")))
         assert len(rows) == 3 * 2
 
+    def test_two_legs_to_one_target_rejected_before_training(self, tmp_path, monkeypatch):
+        target = {"family": "mlp", "widths": [16, 10, 10, 10, 6, 4]}
+        config = synth_compare_config(legs=[{"target": target, "ordering": "appending"},
+                                            {"target": target, "ordering": "interpolation"}])
+        path = write_config(tmp_path, config)
+        monkeypatch.setattr(cli.prune, "imp_run", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_methods_without_reference_rejected(self, tmp_path):
         config = synth_compare_config(methods=["random", "reinit"])
         path = write_config(tmp_path, config)

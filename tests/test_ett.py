@@ -196,6 +196,20 @@ class TestStretch:
         assert hist[0]["target_arch"]["widths"] == list(mid.widths)
         assert hist[1]["target_arch"]["widths"] == list(top.widths)
 
+    @pytest.mark.parametrize("mode", [ett.MASK_COPY, ett.MASK_PERMUTE])
+    def test_result_shares_no_memory(self, mode):
+        """Replicas and passthrough tensors are new arrays: editing the result
+        leaves the source, and the other replicas, unchanged."""
+        small, big = (tiny_resnet_ticket(depth=d, input_side=8) for d in (14, 20))
+        pairs = [(small, ett.stretch(small, ett.default_spec(
+                     small.arch, big.arch, replicated_mask_mode=mode), Rng(2))),
+                 (big, ett.squeeze(big, ett.default_spec(big.arch, small.arch)))]
+        for source, out in pairs:
+            arrays = [*source.rewind_weights.values(), *source.mask.values(),
+                      *out.rewind_weights.values(), *out.mask.values()]
+            for i, x in enumerate(arrays):
+                assert not any(np.shares_memory(x, y) for y in arrays[i + 1:])
+
 
 class TestSqueeze:
     def test_survivors_bit_identical(self):

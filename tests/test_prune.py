@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -361,3 +363,22 @@ class TestImp:
             for p in t1.mask:
                 assert np.array_equal(t1.mask[p], t2.mask[p])
                 assert np.array_equal(t1.rewind_weights[p], t2.rewind_weights[p])
+
+
+def test_magnitude_prune_peak_memory_on_vgg16():
+    """The global ranking holds a few flat copies of the prunable weights, not
+    the index arrays of every alive weight."""
+    a = arch.derive_arch("vgg_cifar", 16)
+    w = arch.init_params(a, Rng(4))
+    m = ticket.all_ones_mask(a)
+    n = sum(int(m[p].size) for p in arch.prunable_paths(a))
+    flat_f32 = 4 * n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = prune.magnitude_prune(w, m, 0.5, a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(int(v.size - np.count_nonzero(v)) for v in out.values()) == round(0.5 * n)
+    assert peak <= 6 * flat_f32, peak / flat_f32
