@@ -4,7 +4,7 @@ Usage: ``elastic-tickets <command> --config <path-or-preset> [--ticket ...]
 [--out DIR] [--seed N] [--jobs K]``. Configs are strict JSON documents
 (unknown keys are rejected before any compute); the ``presets/`` directory
 ships ready-made ones. Exit codes: 0 success, 2 configuration error,
-3 architecture incompatibility, 4 runtime failure.
+3 architecture incompatibility, 4 runtime failure, 5 unloadable ticket.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import arch as arch_mod
 from . import data as data_mod
 from . import ett, evaluation, nn, prune
 from .errors import (ConfigError, DataParseError, DomainError,
-                     IncompatibilityError, UsageError)
+                     IncompatibilityError, TicketLoadError, UsageError)
 from .tensor import Rng, _splitmix64_next
 from .ticket import (SparseTicket, all_ones_mask, load_ticket, make_ticket,
                      save_ticket, sparsity)
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_RUNTIME = 4
+EXIT_BAD_TICKET = 5
 
 DATA_ENV = "ELASTIC_TICKETS_DATA"
 
@@ -197,6 +198,16 @@ def _write_resolved(config: dict, out: Path, seeds) -> None:
     (out / "config.resolved.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
+def _write_run(config: dict, out: Path, seed: int, record: nn.MetricsRecord) -> None:
+    """One seed's metrics and resolved config under ``out/<seed>/``."""
+    record.extra["config"] = config
+    run_dir = out / str(seed)
+    run_dir.mkdir(exist_ok=True)
+    evaluation.write_metrics_csv(record, run_dir / "metrics.csv")
+    evaluation.write_metrics_json(record, run_dir / "metrics.json")
+    _write_resolved(config, run_dir, [seed])
+
+
 def _seeds(config: dict, override: int | None) -> list[int]:
     if override is not None:
         return [override]
@@ -221,12 +232,7 @@ def cmd_train(config: dict, out_root: str | None, seed: int | None) -> int:
         cfg = resolve_train(config["train"], s)
         params = arch_mod.init_params(arch, Rng(s))
         _, record = nn.train(arch, params, {}, train_ds, test_ds, cfg, augment_fn=augment_fn)
-        record.extra["config"] = config
-        run_dir = out / str(s)
-        run_dir.mkdir(exist_ok=True)
-        evaluation.write_metrics_csv(record, run_dir / "metrics.csv")
-        evaluation.write_metrics_json(record, run_dir / "metrics.json")
-        _write_resolved(config, run_dir, [s])
+        _write_run(config, out, s, record)
         print(f"train {arch.name()} seed={s}: test_acc="
               f"{record.final_test_acc if record.final_test_acc is not None else 'n/a'}")
     return EXIT_OK
@@ -267,7 +273,7 @@ def cmd_imp(config: dict, out_root: str | None, seed: int | None) -> int:
     return EXIT_OK
 
 
-def _build_transform(source_arch, leg: dict, ticket_arch=None):
+def _build_transform(source_arch, leg: dict):
     target = resolve_arch(leg["target"])
     ordering = leg.get("ordering", ett.APPENDING)
     mask_mode = leg.get("mask_mode", ett.MASK_COPY)
@@ -307,7 +313,7 @@ def cmd_transform(config: dict | None, ticket_path: str, out_path: str,
 
 def cmd_prune(config: dict, method: str, ticket_path: str, dense_path: str | None,
               out_path: str, seed: int | None) -> int:
-    if method not in ("random", "reinit", "magnitude", "snip", "grasp"):
+    if method not in prune.BASELINES:
         raise ConfigError(f"--method must be a one-shot baseline, got {method!r}")
     _require(config, "data", "train")
     if not ticket_path or not out_path:
@@ -344,12 +350,7 @@ def cmd_eval(config: dict, ticket_path: str, out_root: str | None, seed: int | N
     for s in _seeds(config, seed):
         cfg = resolve_train(config["train"], s)
         record = evaluation.evaluate_ticket(ticket, train_ds, test_ds, cfg, augment_fn)
-        record.extra["config"] = config
-        run_dir = out / str(s)
-        run_dir.mkdir(exist_ok=True)
-        evaluation.write_metrics_csv(record, run_dir / "metrics.csv")
-        evaluation.write_metrics_json(record, run_dir / "metrics.json")
-        _write_resolved(config, run_dir, [s])
+        _write_run(config, out, s, record)
         print(f"eval {ticket.arch.name()} seed={s}: sparsity {record.sparsity:.4f} "
               f"test_acc {record.final_test_acc:.4f}")
     return EXIT_OK
@@ -405,7 +406,7 @@ def _build_method_tickets(methods, source_arch, src_result, train_ds, cfg, confi
             continue
         if method == "ett":
             tickets["ett"] = ett_ticket
-        elif method in ("random", "reinit", "magnitude", "snip", "grasp"):
+        elif method in prune.BASELINES:
             # all baselines hang off the reference so zero counts match exactly
             ctx = prune.MatchContext(dense_rewind=baseline_dense,
                                      batch=batch, rng=Rng(method_seed(base_seed, method)))
@@ -561,6 +562,9 @@ def main(argv=None) -> int:
     except IncompatibilityError as e:
         print(f"incompatible: {e}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
+    except TicketLoadError as e:
+        print(f"bad ticket: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_BAD_TICKET
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"failed: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -7,14 +7,14 @@ downsampling/dimension-changing unit, the stage count, and the stage widths.
 Stretching replicates selected normal units; ``appending`` places the replica
 block right after the last replicated source unit, ``interpolation`` places
 each replica immediately after its source. Squeezing drops selected normal
-units and closes the gaps.
+units and closes the gaps. Both directions are one walk: ``_slots`` gives
+each target slot's source unit, and ``_transform`` copies units into their
+slots, permutes replica masks when asked, and records the provenance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import arch as arch_mod
 from .arch import (ArchDescriptor, FAMILY_RESNET, FAMILY_VGG,
@@ -194,17 +194,25 @@ def _validate_selection(units: list[UnitRef], sel: tuple[int, ...], *, unique: b
         raise IncompatibilityError(f"duplicate drop indices {sel}")
 
 
-def _copy_unit(src_arch, src_unit, tgt_arch, tgt_unit, ticket, params, mask):
+def _slots(spec: TransformSpec, n_units: int, sel: tuple[int, ...]) -> list[tuple[int, bool]]:
+    """One stage's target slots as (source position, is_replica): the kept
+    units for a squeeze, the replication order for a stretch."""
+    if spec.direction == SQUEEZE:
+        return [(i, False) for i in range(n_units) if i not in set(sel)]
+    return _stretch_order(n_units, sel, spec.ordering or APPENDING)
+
+
+def _copy_unit(ticket, src_unit, tgt_unit, params, mask):
     pre_s = src_unit.prefix + "/"
     pre_t = tgt_unit.prefix + "/"
-    for path in arch_mod.unit_param_paths(src_arch, src_unit):
+    for path in arch_mod.unit_param_paths(ticket.arch, src_unit):
         params[pre_t + path[len(pre_s):]] = ticket.rewind_weights[path]
     for path in ticket.mask:
         if path.startswith(pre_s):
             mask[pre_t + path[len(pre_s):]] = ticket.mask[path]
 
 
-def _permute_unit_mask(mask: dict, tgt_arch, tgt_unit, rng: Rng) -> None:
+def _permute_unit_mask(mask: dict, tgt_unit, rng: Rng) -> None:
     pre = tgt_unit.prefix + "/"
     for path in sorted(p for p in mask if p.startswith(pre)):
         m = mask[path]
@@ -212,10 +220,34 @@ def _permute_unit_mask(mask: dict, tgt_arch, tgt_unit, rng: Rng) -> None:
         mask[path] = m.ravel()[perm].reshape(m.shape)
 
 
-def _history_entry(spec: TransformSpec, source_arch: ArchDescriptor) -> dict:
-    doc = spec.to_json()
-    doc["source_arch"] = arch_mod.arch_to_json(source_arch)
-    return doc
+def _transform(ticket: SparseTicket, spec: TransformSpec, rng: Rng | None) -> SparseTicket:
+    """Fill every target slot from its source unit and record the transform."""
+    check_compatible(ticket.arch, spec.target_arch)
+    src_groups = arch_mod.transform_groups(ticket.arch)
+    tgt_groups = arch_mod.transform_groups(spec.target_arch)
+    if len(spec.per_stage_selection) != len(src_groups):
+        raise IncompatibilityError(
+            f"selection covers {len(spec.per_stage_selection)} stages, arch has {len(src_groups)}")
+    passthrough = _passthrough_paths(ticket.arch)
+    params = {p: ticket.rewind_weights[p] for p in passthrough}
+    mask = {p: ticket.mask[p] for p in passthrough if p in ticket.mask}
+    for su, tu, sel in zip(src_groups, tgt_groups, spec.per_stage_selection):
+        _validate_selection(su, sel, unique=spec.direction == SQUEEZE)
+        slots = _slots(spec, len(su), sel)
+        if len(slots) != len(tu):
+            raise IncompatibilityError(
+                f"stage of {len(su)} units, {spec.direction} selection {sel}, does not fill "
+                f"{len(tu)} target slots")
+        for slot, (src_pos, is_replica) in enumerate(slots):
+            _copy_unit(ticket, su[src_pos], tu[slot], params, mask)
+            if is_replica and spec.replicated_mask_mode == MASK_PERMUTE:
+                _permute_unit_mask(mask, tu[slot], rng)
+    prov = dict(ticket.provenance)
+    prov["method"] = f"ett-{spec.direction}"
+    entry = {**spec.to_json(), "source_arch": arch_mod.arch_to_json(ticket.arch)}
+    prov["transform_history"] = [*prov.get("transform_history", []), entry]
+    prov["source_arch"] = ticket.provenance.get("source_arch", ticket.arch.name())
+    return make_ticket(spec.target_arch, params, mask, ticket.rewind_step, prov)
 
 
 def stretch(ticket: SparseTicket, spec: TransformSpec, rng: Rng | None = None) -> SparseTicket:
@@ -226,70 +258,14 @@ def stretch(ticket: SparseTicket, spec: TransformSpec, rng: Rng | None = None) -
         raise ConfigError(f"unknown mask mode {spec.replicated_mask_mode!r}")
     if spec.replicated_mask_mode == MASK_PERMUTE and rng is None:
         raise UsageError("mask permutation requires an rng")
-    check_compatible(ticket.arch, spec.target_arch)
-    src_groups = arch_mod.transform_groups(ticket.arch)
-    tgt_groups = arch_mod.transform_groups(spec.target_arch)
-    if len(spec.per_stage_selection) != len(src_groups):
-        raise IncompatibilityError(
-            f"selection covers {len(spec.per_stage_selection)} stages, arch has {len(src_groups)}")
-    params: dict[str, np.ndarray] = {}
-    mask: dict[str, np.ndarray] = {}
-    for path in _passthrough_paths(ticket.arch):
-        params[path] = ticket.rewind_weights[path]
-        if path in ticket.mask:
-            mask[path] = ticket.mask[path]
-    for su, tu, sel in zip(src_groups, tgt_groups, spec.per_stage_selection):
-        _validate_selection(su, sel, unique=False)
-        order = _stretch_order(len(su), sel, spec.ordering or APPENDING)
-        if len(order) != len(tu):
-            raise IncompatibilityError(
-                f"stage of {len(su)} units with {len(sel)} replicas does not fill "
-                f"{len(tu)} target slots")
-        for slot, (src_pos, is_replica) in enumerate(order):
-            _copy_unit(ticket.arch, su[src_pos], spec.target_arch, tu[slot], ticket, params, mask)
-            if is_replica and spec.replicated_mask_mode == MASK_PERMUTE:
-                _permute_unit_mask(mask, spec.target_arch, tu[slot], rng)
-    prov = dict(ticket.provenance)
-    prov["method"] = "ett-stretch"
-    history = list(prov.get("transform_history", []))
-    history.append(_history_entry(spec, ticket.arch))
-    prov["transform_history"] = history
-    prov["source_arch"] = ticket.provenance.get("source_arch", ticket.arch.name())
-    return make_ticket(spec.target_arch, params, mask, ticket.rewind_step, prov)
+    return _transform(ticket, spec, rng)
 
 
 def squeeze(ticket: SparseTicket, spec: TransformSpec) -> SparseTicket:
     """Shrink the ticket into spec.target_arch by dropping selected units."""
     if spec.direction != SQUEEZE:
         raise UsageError(f"squeeze called with a {spec.direction!r} spec")
-    check_compatible(ticket.arch, spec.target_arch)
-    src_groups = arch_mod.transform_groups(ticket.arch)
-    tgt_groups = arch_mod.transform_groups(spec.target_arch)
-    if len(spec.per_stage_selection) != len(src_groups):
-        raise IncompatibilityError(
-            f"selection covers {len(spec.per_stage_selection)} stages, arch has {len(src_groups)}")
-    params: dict[str, np.ndarray] = {}
-    mask: dict[str, np.ndarray] = {}
-    for path in _passthrough_paths(ticket.arch):
-        params[path] = ticket.rewind_weights[path]
-        if path in ticket.mask:
-            mask[path] = ticket.mask[path]
-    for su, tu, sel in zip(src_groups, tgt_groups, spec.per_stage_selection):
-        _validate_selection(su, sel, unique=True)
-        keep = [i for i in range(len(su)) if i not in set(sel)]
-        if len(keep) != len(tu):
-            raise IncompatibilityError(
-                f"stage of {len(su)} units dropping {len(sel)} does not fill "
-                f"{len(tu)} target slots")
-        for slot, src_pos in enumerate(keep):
-            _copy_unit(ticket.arch, su[src_pos], spec.target_arch, tu[slot], ticket, params, mask)
-    prov = dict(ticket.provenance)
-    prov["method"] = "ett-squeeze"
-    history = list(prov.get("transform_history", []))
-    history.append(_history_entry(spec, ticket.arch))
-    prov["transform_history"] = history
-    prov["source_arch"] = ticket.provenance.get("source_arch", ticket.arch.name())
-    return make_ticket(spec.target_arch, params, mask, ticket.rewind_step, prov)
+    return _transform(ticket, spec, None)
 
 
 def replica_prefixes(spec: TransformSpec) -> list[str]:
@@ -298,7 +274,6 @@ def replica_prefixes(spec: TransformSpec) -> list[str]:
         raise UsageError("replica positions exist for stretch specs only")
     out = []
     for tu, sel in zip(arch_mod.transform_groups(spec.target_arch), spec.per_stage_selection):
-        n_src = len(tu) - len(sel)
-        order = _stretch_order(n_src, sel, spec.ordering or APPENDING)
-        out.extend(tu[slot].prefix for slot, (_, rep) in enumerate(order) if rep)
+        slots = _slots(spec, len(tu) - len(sel), sel)
+        out.extend(tu[slot].prefix for slot, (_, rep) in enumerate(slots) if rep)
     return out

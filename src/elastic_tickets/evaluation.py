@@ -194,27 +194,21 @@ def connectivity_probe(ticket: SparseTicket, train_data, test_data, config: nn.T
                                seeds=(a, b), sparsity=sparsity(ticket).overall)
 
 
-_POOL_STATE: dict = {}
+def _cell_acc(tickets, train, test, config, augment_fn, method, seed) -> float:
+    """Test accuracy of one (method, seed) cell."""
+    return evaluate_ticket(tickets[method], train, test, replace(config, seed=seed),
+                           augment_fn).final_test_acc
 
 
-def _pool_init(tickets, train_data, test_data, config, augment_name):
-    _POOL_STATE["tickets"] = tickets
-    _POOL_STATE["train"] = train_data
-    _POOL_STATE["test"] = test_data
-    _POOL_STATE["config"] = config
-    if augment_name:
-        from . import data as data_mod
-        _POOL_STATE["augment"] = getattr(data_mod, augment_name)
-    else:
-        _POOL_STATE["augment"] = None
+_POOL_STATE: dict = {}  # a pool worker's shared _cell_acc arguments
+
+
+def _pool_init(*shared):
+    _POOL_STATE["shared"] = shared
 
 
 def _pool_cell(cell):
-    method, seed = cell
-    record = evaluate_ticket(_POOL_STATE["tickets"][method], _POOL_STATE["train"],
-                             _POOL_STATE["test"], replace(_POOL_STATE["config"], seed=seed),
-                             _POOL_STATE["augment"])
-    return method, seed, record.final_test_acc
+    return _cell_acc(*_POOL_STATE["shared"], *cell)
 
 
 def compare(tickets_by_method: dict[str, SparseTicket], reference_method: str,
@@ -244,21 +238,15 @@ def compare(tickets_by_method: dict[str, SparseTicket], reference_method: str,
                 f"reference has {ref_report.zeros}/{ref_report.total}; matching violated")
 
     cells = [(m, s) for m in tickets_by_method for s in seeds]
-    accs: dict[tuple[str, int], float] = {}
+    shared = (tickets_by_method, train_data, test_data, config, augment_fn)
     if jobs > 1:
         import multiprocessing as mp
-        augment_name = getattr(augment_fn, "__name__", None) if augment_fn else None
         ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-        with ctx.Pool(jobs, initializer=_pool_init,
-                      initargs=(tickets_by_method, train_data, test_data, config,
-                                augment_name)) as pool:
-            for method, seed, acc in pool.map(_pool_cell, cells):
-                accs[(method, seed)] = acc
+        with ctx.Pool(jobs, initializer=_pool_init, initargs=shared) as pool:
+            results = pool.map(_pool_cell, cells)
     else:
-        for method, seed in cells:
-            record = evaluate_ticket(tickets_by_method[method], train_data, test_data,
-                                     replace(config, seed=seed), augment_fn)
-            accs[(method, seed)] = record.final_test_acc
+        results = [_cell_acc(*shared, *cell) for cell in cells]
+    accs = dict(zip(cells, results))
     rows = []
     for method, ticket in tickets_by_method.items():
         rows.append(CompareRow(

@@ -23,6 +23,9 @@ from .ticket import (SparseTicket, all_ones_mask, apply_mask, make_ticket, reini
                      sparsity)
 
 
+BASELINES = ("random", "reinit", "magnitude", "snip", "grasp")
+
+
 @dataclass
 class ImpConfig:
     rate: float                 # fraction pruned per round
@@ -54,15 +57,6 @@ class MatchContext:
     dense_rewind: dict[str, np.ndarray]
     batch: tuple[np.ndarray, np.ndarray] | None = None
     rng: Rng | None = None
-
-
-def _flat_index(arch: ArchDescriptor):
-    """Concatenation order and offsets for all prunable tensors."""
-    paths = arch_mod.prunable_paths(arch)
-    shapes = {s.path: s.shape for s in arch_mod.param_specs(arch)}
-    sizes = [int(np.prod(shapes[p])) for p in paths]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return paths, sizes, offsets
 
 
 def _concat(ticket_like: dict[str, np.ndarray], paths) -> np.ndarray:
@@ -125,6 +119,17 @@ def _target_zero_count(total: int, target) -> int:
     return count
 
 
+def _select(arch: ArchDescriptor, keys: np.ndarray, alive: np.ndarray | None,
+            target) -> dict[str, np.ndarray]:
+    """Per-path mask keeping the smallest ``keys`` (in ``prunable_paths`` order) among
+    the ``alive`` entries (all when None) so that ``target`` of all entries are zero."""
+    keep = keys.size - _target_zero_count(keys.size, target)
+    if alive is None:
+        alive = np.ones(keys.size, dtype=bool)
+    shapes = {s.path: s.shape for s in arch_mod.param_specs(arch)}
+    return _split(_keep_first_mask(keys, alive, keep), arch_mod.prunable_paths(arch), shapes)
+
+
 def magnitude_prune(weights: dict[str, np.ndarray], mask: dict[str, np.ndarray],
                     target_sparsity, arch: ArchDescriptor) -> dict[str, np.ndarray]:
     """Zero the smallest-magnitude surviving weights until the target is met.
@@ -132,8 +137,7 @@ def magnitude_prune(weights: dict[str, np.ndarray], mask: dict[str, np.ndarray],
     ``target_sparsity`` is a fraction in [0, 1) or an exact zero count; it must
     not be below the current sparsity.
     """
-    paths, _, _ = _flat_index(arch)
-    shapes = {s.path: s.shape for s in arch_mod.param_specs(arch)}
+    paths = arch_mod.prunable_paths(arch)
     keys = _concat(weights, paths)
     total = keys.size
     target_zeros = _target_zero_count(total, target_sparsity)
@@ -141,10 +145,9 @@ def magnitude_prune(weights: dict[str, np.ndarray], mask: dict[str, np.ndarray],
     if target_zeros < current_zeros:
         raise DomainError(
             f"target sparsity {target_zeros}/{total} below current {current_zeros}/{total}")
-    keep = total - target_zeros
     np.negative(np.abs(keys, out=keys), out=keys)  # -|w| on the fresh concatenation
     alive = np.concatenate([np.asarray(mask[p]).ravel() > 0 for p in paths])
-    return _split(_keep_first_mask(keys, alive, keep), paths, shapes)
+    return _select(arch, keys, alive, target_zeros)
 
 
 def snip_saliency(arch: ArchDescriptor, weights: dict[str, np.ndarray],
@@ -162,14 +165,9 @@ def snip_prune(arch: ArchDescriptor, weights: dict[str, np.ndarray],
                batch: tuple[np.ndarray, np.ndarray], target_sparsity,
                loss_scale: float = 1.0) -> dict[str, np.ndarray]:
     """Keep the weights with the largest |theta * dL/dtheta| on one batch."""
-    saliency_by_path = snip_saliency(arch, weights, batch, loss_scale)
-    paths, _, _ = _flat_index(arch)
-    shapes = {s.path: s.shape for s in arch_mod.param_specs(arch)}
-    saliency = _concat(saliency_by_path, paths)
-    total = saliency.size
-    keep = total - _target_zero_count(total, target_sparsity)
-    flat = _keep_first_mask(-saliency, np.ones(total, dtype=bool), keep)
-    return _split(flat, paths, shapes)
+    saliency = _concat(snip_saliency(arch, weights, batch, loss_scale),
+                       arch_mod.prunable_paths(arch))
+    return _select(arch, -saliency, None, target_sparsity)
 
 
 def hvp_forward_diff(grad_fn, theta: np.ndarray, eps_scale: float = 1e-2) -> np.ndarray:
@@ -213,12 +211,8 @@ def grasp_prune(arch: ArchDescriptor, weights: dict[str, np.ndarray],
         n = int(np.prod(shapes[p]))
         score_by_path[p] = (theta[pos : pos + n] * hg[pos : pos + n])
         pos += n
-    paths, _, _ = _flat_index(arch)
-    scores = np.concatenate([score_by_path[p] for p in paths])
-    total = scores.size
-    keep = total - _target_zero_count(total, target_sparsity)
-    flat = _keep_first_mask(scores, np.ones(total, dtype=bool), keep)
-    return _split(flat, paths, shapes)
+    return _select(arch, _concat(score_by_path, arch_mod.prunable_paths(arch)), None,
+                   target_sparsity)
 
 
 def random_prune(ticket: SparseTicket, rng: Rng,
@@ -272,7 +266,7 @@ def match_sparsity(method: str, reference: SparseTicket, context: MatchContext) 
 
 
 def imp_run(arch: ArchDescriptor, train_data, test_data, cfg: ImpConfig,
-            *, augment_fn=None, init_seed: int | None = None) -> ImpResult:
+            *, augment_fn=None) -> ImpResult:
     """The rewinding IMP loop.
 
     Start from theta_0, capture theta_r once after ``rewind_step`` optimizer
@@ -289,7 +283,7 @@ def imp_run(arch: ArchDescriptor, train_data, test_data, cfg: ImpConfig,
             f"rewind_step {cfg.rewind_step} must be below total steps {total_steps}")
     paths = arch_mod.prunable_paths(arch)
     shapes = {s.path: s.shape for s in arch_mod.param_specs(arch)}
-    survivors = sum(int(np.prod(shapes[p])) for p in paths)
+    total = survivors = sum(int(np.prod(shapes[p])) for p in paths)
     for k in range(1, cfg.rounds + 1):
         newly = int(np.floor(cfg.rate * survivors))
         survivors -= newly
@@ -297,7 +291,7 @@ def imp_run(arch: ArchDescriptor, train_data, test_data, cfg: ImpConfig,
             raise DomainError(
                 f"round {k} of {cfg.rounds} at rate {cfg.rate} has no weights left to prune")
 
-    rng = Rng(cfg.train.seed if init_seed is None else init_seed)
+    rng = Rng(cfg.train.seed)
     theta0 = arch_mod.init_params(arch, rng)
     mask = all_ones_mask(arch)
     if cfg.rewind_step > 0:
@@ -314,7 +308,6 @@ def imp_run(arch: ArchDescriptor, train_data, test_data, cfg: ImpConfig,
                                    augment_fn=augment_fn, step_offset=cfg.rewind_step)
         alive = sum(int(np.count_nonzero(m)) for m in mask.values())
         newly = int(np.floor(cfg.rate * alive))
-        total = sum(int(np.prod(shapes[p])) for p in paths)
         mask = magnitude_prune(trained, mask, total - (alive - newly), arch)
         prov = {"method": "imp", "imp_round": k, "dataset": getattr(train_data, "name", ""),
                 "seed": cfg.train.seed, "source_arch": arch.name(),

@@ -189,6 +189,18 @@ class TestCompare:
         assert {r.method: r.seed_accs for r in seq.rows} == \
             {r.method: r.seed_accs for r in par.rows}
 
+    def test_parallel_jobs_pass_augment_fn(self):
+        train_ds, test_ds = data.synth(data.SynthSpec(n_per_class=20, num_classes=4,
+                                                      input_shape=(1, 8, 8), noise=0.4, seed=4))
+        t = tiny_mlp_ticket(seed=5, widths=(64, 16, 4))
+        tickets = {"imp": t, "random": prune.random_prune(t, Rng(6))}
+        cfg = nn.TrainConfig(epochs=2, batch_size=16, lr=0.1, momentum=0.9, seed=2)
+        run = [evaluation.compare(tickets, "imp", train_ds, test_ds, cfg, seeds=[1, 2],
+                                  augment_fn=aug, jobs=jobs).to_json()
+               for aug, jobs in ((data.augment_batch, 1), (data.augment_batch, 2), (None, 1))]
+        assert run[1] == run[0]
+        assert run[2] != run[0]  # augmentation reached the cells
+
 
 def test_metrics_csv_schema(tmp_path, setup):
     train_ds, test_ds, t, cfg = setup

@@ -336,7 +336,7 @@ class TestLoadTimeCheck:
         with pytest.raises(TicketInvalid, match="missing weight tensor layer2/bias"):
             ticket.load_ticket(self.corrupt(tmp_path, edit_header=drop))
 
-    def test_is_a_load_error_and_the_cli_exits_4(self, tmp_path):
+    def test_is_a_load_error_and_the_cli_exits_5(self, tmp_path):
         def drop(header):
             header["tensors"].remove(self.entry(header, "layer0/weight", "mask-u8"))
 
@@ -344,8 +344,30 @@ class TestLoadTimeCheck:
         with pytest.raises(TicketLoadError, match="mask keys differ"):
             ticket.load_ticket(path)
         code = cli.main(["transform", "--ticket", str(path), "--out", str(tmp_path / "o.eltk")])
-        assert code == cli.EXIT_RUNTIME == 4
+        assert code == cli.EXIT_BAD_TICKET == 5
         assert not (tmp_path / "o.eltk").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "non-binary mask"])
+    def test_eval_exits_bad_ticket(self, tmp_path, damage):
+        if damage == "truncated":
+            path = tmp_path / "t.eltk"
+            ticket.save_ticket(tiny_mlp_ticket(seed=3), path)
+            path.write_bytes(path.read_bytes()[:-40])
+        else:
+            def poke(header, payload):
+                payload[self.entry(header, "layer0/weight", "mask-u8")["offset"]] = 7
+
+            path = self.corrupt(tmp_path, edit_payload=poke)
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({
+            "name": "bad-ticket",
+            "data": {"name": "synth", "synth": {"n_per_class": 10, "num_classes": 4,
+                                                "input_shape": [12], "seed": 1}},
+            "train": {"epochs": 1, "batch_size": 8, "lr": 0.1}}))
+        code = cli.main(["eval", "--config", str(config), "--ticket", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_BAD_TICKET
+        assert not (tmp_path / "out").exists()
 
 
 class TestCheckVerdicts:
