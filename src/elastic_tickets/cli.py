@@ -26,7 +26,7 @@ from .errors import (ConfigError, DataParseError, DomainError,
                      IncompatibilityError, TicketLoadError, UsageError)
 from .tensor import Rng, _splitmix64_next
 from .ticket import (SparseTicket, all_ones_mask, load_ticket, make_ticket,
-                     save_ticket, sparsity)
+                     reinit_ticket, save_ticket, sparsity, write_json)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,8 +36,7 @@ EXIT_BAD_TICKET = 5
 
 DATA_ENV = "ELASTIC_TICKETS_DATA"
 
-KNOWN_METHODS = ("imp", "ett", "random", "reinit", "random_random",
-                 "magnitude", "snip", "grasp", "ett_snip_extra")
+KNOWN_METHODS = ("imp", "ett", *prune.BASELINES, "random_random", "ett_snip_extra")
 
 _ARCH_SCHEMA = {"family": str, "depth": int, "multiplier": int, "widths": list,
                 "head_layers": int, "num_classes": int}
@@ -195,7 +194,7 @@ def _write_resolved(config: dict, out: Path, seeds) -> None:
     resolved = dict(config)
     resolved["resolved_seeds"] = list(seeds)
     resolved["data_env"] = os.environ.get(DATA_ENV, "")
-    (out / "config.resolved.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    write_json(resolved, out / "config.resolved.json")
 
 
 def _write_run(config: dict, out: Path, seed: int, record: nn.MetricsRecord) -> None:
@@ -324,9 +323,7 @@ def cmd_prune(config: dict, method: str, ticket_path: str, dense_path: str | Non
     s = _seeds(config, seed)[0]
     cfg = resolve_train(config["train"], s)
     batch = _saliency_batch(train_ds, cfg, s)
-    ctx = prune.MatchContext(dense_rewind=dense, batch=batch,
-                             rng=Rng(method_seed(s, method)))
-    result = prune.match_sparsity(method, reference, ctx)
+    result = prune.match_sparsity(method, reference, dense, batch, Rng(method_seed(s, method)))
     save_ticket(result, out_path)
     print(f"prune {method} on {reference.arch.name()}: sparsity "
           f"{sparsity(result).overall:.4f} -> {out_path}")
@@ -375,21 +372,19 @@ def cmd_connectivity(config: dict, ticket_path: str, out_root: str | None,
         augment_fn=augment_fn)
     out = _out_dir(config, out_root)
     report.write_csv(out / "interpolation.csv")
-    (out / "interpolation.json").write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    write_json(report.to_json(), out / "interpolation.json")
     _write_resolved(config, out, seeds[:2])
     print(f"connectivity {ticket.arch.name()}: max_drop {report.max_drop:.4f}")
     return EXIT_OK
 
 
-def _build_method_tickets(methods, source_arch, src_result, train_ds, cfg, config,
-                          spec, base_seed, augment_fn, test_ds):
+def _build_method_tickets(config, spec, src_result, train_ds, test_ds, augment_fn, base_seed):
     """Tickets for one comparison leg, all matched to the reference sparsity."""
+    methods = config["methods"]
     src_ticket = src_result.tickets[-1]
-    dense_src = _dense_ticket(source_arch, src_result.dense_rewind,
+    dense_src = _dense_ticket(src_ticket.arch, src_result.dense_rewind,
                               src_result.rewind_step, train_ds.name, base_seed)
-    ett_rng = Rng(method_seed(base_seed, "ett"))
-    ett_ticket = _apply_transform(src_ticket, spec, ett_rng)
+    ett_ticket = _apply_transform(src_ticket, spec, Rng(method_seed(base_seed, "ett")))
     dense_target = _apply_transform(dense_src, spec, Rng(method_seed(base_seed, "ett-dense")))
     tickets: dict[str, SparseTicket] = {}
     reference = ett_ticket
@@ -397,44 +392,31 @@ def _build_method_tickets(methods, source_arch, src_result, train_ds, cfg, confi
     if "imp" in methods:
         target_result = _run_imp(spec.target_arch, train_ds, test_ds, config,
                                  base_seed, augment_fn)
-        tickets["imp"] = target_result.tickets[-1]
-        reference = tickets["imp"]
+        tickets["imp"] = reference = target_result.tickets[-1]
         baseline_dense = target_result.dense_rewind  # baselines use the target's own rewind
-    batch = _saliency_batch(train_ds, cfg, base_seed)
+    batch = _saliency_batch(train_ds, resolve_train(config["train"], base_seed), base_seed)
     for method in methods:
-        if method == "imp":
-            continue
         if method == "ett":
             tickets["ett"] = ett_ticket
         elif method in prune.BASELINES:
             # all baselines hang off the reference so zero counts match exactly
-            ctx = prune.MatchContext(dense_rewind=baseline_dense,
-                                     batch=batch, rng=Rng(method_seed(base_seed, method)))
-            tickets[method] = prune.match_sparsity(method, reference, ctx)
+            tickets[method] = prune.match_sparsity(method, reference, baseline_dense, batch,
+                                                   Rng(method_seed(base_seed, method)))
         elif method == "random_random":
-            rng1 = Rng(method_seed(base_seed, "random_random-mask"))
-            permuted = prune.random_prune(reference, rng1, baseline_dense)
-            tickets[method] = prune.match_sparsity(
-                "reinit", permuted,
-                prune.MatchContext(dense_rewind=baseline_dense,
-                                   rng=Rng(method_seed(base_seed, "random_random-init"))))
+            permuted = prune.random_prune(
+                reference, Rng(method_seed(base_seed, "random_random-mask")), baseline_dense)
+            tickets[method] = reinit_ticket(
+                permuted, Rng(method_seed(base_seed, "random_random-init")))
         elif method == "ett_snip_extra":
-            tickets[method] = _ett_snip_extra(src_ticket, spec, dense_target, train_ds,
-                                              cfg, base_seed)
-        else:
-            raise ConfigError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
+            tickets[method] = _ett_snip_extra(ett_ticket, spec, dense_target, batch)
     return tickets, ("imp" if "imp" in methods else "ett")
 
 
-def _ett_snip_extra(src_ticket, spec, dense_target, train_ds, cfg, base_seed):
-    """Stretch, but fill replica-unit masks from saliency scores on the target
-    instead of copying them. Per-tensor keep counts stay matched."""
-    if spec.direction != ett.STRETCH:
-        raise ConfigError("ett_snip_extra applies to stretch legs only")
-    copied = ett.stretch(src_ticket, spec)
-    batch = _saliency_batch(train_ds, cfg, base_seed)
+def _ett_snip_extra(ett_ticket, spec, dense_target, batch):
+    """The leg's ett ticket with each replica tensor's mask refilled from SNIP
+    saliency on the target's dense rewind; per-tensor keep counts stay."""
     saliency = prune.snip_saliency(spec.target_arch, dense_target.rewind_weights, batch)
-    new_mask = {k: v.copy() for k, v in copied.mask.items()}
+    new_mask = dict(ett_ticket.mask)
     for prefix in ett.replica_prefixes(spec):
         for path in new_mask:
             if not path.startswith(prefix + "/"):
@@ -443,15 +425,15 @@ def _ett_snip_extra(src_ticket, spec, dense_target, train_ds, cfg, base_seed):
             s = saliency[path].ravel()
             flat = prune._keep_first_mask(-s, np.ones(s.size, dtype=bool), keep)
             new_mask[path] = flat.reshape(new_mask[path].shape)
-    prov = dict(copied.provenance)
+    prov = dict(ett_ticket.provenance)
     prov["method"] = "ett-snip-extra"
     return make_ticket(spec.target_arch, dense_target.rewind_weights, new_mask,
-                       copied.rewind_step, prov)
+                       ett_ticket.rewind_step, prov)
 
 
 def cmd_compare(config: dict, out_root: str | None, seed: int | None, jobs: int = 1) -> int:
     _require(config, "arch", "data", "train", "imp", "methods")
-    methods = list(config["methods"])
+    methods = config["methods"]
     for m in methods:
         if m not in KNOWN_METHODS:
             raise ConfigError(f"config.methods: unknown method {m!r}; known: {KNOWN_METHODS}")
@@ -466,6 +448,8 @@ def cmd_compare(config: dict, out_root: str | None, seed: int | None, jobs: int 
     if shared:
         raise ConfigError(f"config.transform: several legs target {', '.join(shared)}; "
                           f"their tickets and comparison files would overwrite each other")
+    if "ett_snip_extra" in methods and any(spec.direction != ett.STRETCH for spec in specs):
+        raise ConfigError("ett_snip_extra applies to stretch legs only")
     train_ds, test_ds, augment_fn = resolve_data(config["data"])
     seeds = _seeds(config, seed)
     base_seed = seeds[0]
@@ -483,9 +467,8 @@ def cmd_compare(config: dict, out_root: str | None, seed: int | None, jobs: int 
 
     cfg = resolve_train(config["train"], base_seed)
     for spec, target_name in zip(specs, targets):
-        tickets, reference = _build_method_tickets(
-            methods, source_arch, src_result, train_ds, cfg, config, spec,
-            base_seed, augment_fn, test_ds)
+        tickets, reference = _build_method_tickets(config, spec, src_result, train_ds,
+                                                   test_ds, augment_fn, base_seed)
         for m, t in tickets.items():
             save_ticket(t, tickets_dir / f"{target_name}-{m}.eltk")
         table = evaluation.compare(tickets, reference, train_ds, test_ds, cfg,
@@ -493,8 +476,7 @@ def cmd_compare(config: dict, out_root: str | None, seed: int | None, jobs: int 
         table.write_csv(out / f"comparison-{target_name}.csv")
         doc = table.to_json()
         doc["config"] = config
-        (out / f"comparison-{target_name}.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(doc, out / f"comparison-{target_name}.json")
         for row in sorted(table.rows, key=lambda r: -r.mean_acc):
             print(f"compare {source_arch.name()} -> {target_name} [{row.method}] "
                   f"sparsity {row.sparsity:.4f}: {row.mean_acc:.4f} +/- {row.std_acc:.4f}")
@@ -553,9 +535,7 @@ def main(argv=None) -> int:
             return cmd_connectivity(config, args.ticket, args.out, args.seed)
         if args.command == "compare":
             return cmd_compare(config, args.out, args.seed, args.jobs)
-        if args.command == "flops":
-            return cmd_flops(config, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_flops(config, args.out)
     except (ConfigError, DomainError, UsageError, DataParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

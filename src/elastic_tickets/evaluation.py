@@ -4,7 +4,6 @@ side-by-side method comparison with sparsity matching enforced."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 from . import arch as arch_mod
 from . import nn
 from .errors import IncompatibilityError, ShapeError, UsageError
-from .ticket import SparseTicket, sparsity
+from .ticket import SparseTicket, atomic_open, sparsity, write_json
 
 
 @dataclass
@@ -29,7 +28,7 @@ class InterpolationReport:
                 "sparsity": self.sparsity}
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, newline="") as f:
             w = csv.writer(f)
             w.writerow(["alpha", "test_acc"])
             for a, acc in zip(self.alphas, self.accuracies):
@@ -70,7 +69,7 @@ class ComparisonTable:
 
     def write_csv(self, path) -> None:
         """One row per (method, seed) cell."""
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, newline="") as f:
             w = csv.writer(f)
             w.writerow(["method", "source_arch", "target_arch", "dataset", "sparsity",
                         "seed", "test_acc", "mean_acc", "std_acc"])
@@ -83,7 +82,7 @@ class ComparisonTable:
 
 def write_metrics_csv(record: nn.MetricsRecord, path) -> None:
     """Per-epoch curve rows; the final row carries the test accuracy."""
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(["epoch", "train_loss", "train_acc", "test_acc"])
         n = len(record.epoch_train_loss)
@@ -96,9 +95,7 @@ def write_metrics_csv(record: nn.MetricsRecord, path) -> None:
 
 
 def write_metrics_json(record: nn.MetricsRecord, path) -> None:
-    with open(path, "w") as f:
-        json.dump(record.to_json(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(record.to_json(), path)
 
 
 def _check_input_shape(ticket: SparseTicket, dataset) -> None:

@@ -50,15 +50,6 @@ class ImpResult:
     rewind_step: int
 
 
-@dataclass
-class MatchContext:
-    """What the one-shot baselines need: the dense rewind weights of the
-    target network, one seeded batch for saliency methods, and an rng."""
-    dense_rewind: dict[str, np.ndarray]
-    batch: tuple[np.ndarray, np.ndarray] | None = None
-    rng: Rng | None = None
-
-
 def _concat(ticket_like: dict[str, np.ndarray], paths) -> np.ndarray:
     return np.concatenate([np.asarray(ticket_like[p]).ravel() for p in paths])
 
@@ -233,36 +224,30 @@ def random_prune(ticket: SparseTicket, rng: Rng,
     return make_ticket(ticket.arch, weights, new_mask, ticket.rewind_step, prov)
 
 
-def match_sparsity(method: str, reference: SparseTicket, context: MatchContext) -> SparseTicket:
-    """Build a baseline ticket whose overall sparsity matches the reference's
-    zero count exactly (random/reinit also preserve per-path ratios)."""
-    ref_report = sparsity(reference)
+def match_sparsity(method: str, reference: SparseTicket, dense_rewind: dict[str, np.ndarray],
+                   batch: tuple[np.ndarray, np.ndarray] | None, rng: Rng | None) -> SparseTicket:
+    """Build the ``method`` baseline on the target network from its dense rewind
+    weights, matched to the reference's zero count exactly (random/reinit also
+    preserve per-path ratios). SNIP and GraSP score ``batch``; random and
+    reinit draw from ``rng``."""
+    if method == "reinit":
+        return reinit_ticket(reference, rng)
+    if method == "random":
+        return random_prune(reference, rng, dense_rewind)
     arch = reference.arch
+    ref_report = sparsity(reference)
+    if method == "magnitude":
+        mask = magnitude_prune(dense_rewind, all_ones_mask(arch), ref_report.zeros, arch)
+    elif method == "snip":
+        mask = snip_prune(arch, dense_rewind, batch, ref_report.zeros)
+    elif method == "grasp":
+        mask = grasp_prune(arch, dense_rewind, batch, ref_report.zeros)
+    else:
+        raise ConfigError(f"unknown method {method!r}")
     prov = {"method": method, "dataset": reference.provenance.get("dataset", ""),
             "matched_sparsity": ref_report.overall,
             "source_arch": reference.provenance.get("source_arch", arch.name())}
-    if method == "reinit":
-        if context.rng is None:
-            raise ConfigError("reinit requires an rng in the match context")
-        return reinit_ticket(reference, context.rng)
-    if method == "random":
-        if context.rng is None:
-            raise ConfigError("random requires an rng in the match context")
-        return random_prune(reference, context.rng, context.dense_rewind)
-    if method == "magnitude":
-        mask = magnitude_prune(context.dense_rewind, all_ones_mask(arch),
-                               ref_report.zeros, arch)
-    elif method == "snip":
-        if context.batch is None:
-            raise ConfigError("snip requires a batch in the match context")
-        mask = snip_prune(arch, context.dense_rewind, context.batch, ref_report.zeros)
-    elif method == "grasp":
-        if context.batch is None:
-            raise ConfigError("grasp requires a batch in the match context")
-        mask = grasp_prune(arch, context.dense_rewind, context.batch, ref_report.zeros)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    return make_ticket(arch, context.dense_rewind, mask, reference.rewind_step, prov)
+    return make_ticket(arch, dense_rewind, mask, reference.rewind_step, prov)
 
 
 def imp_run(arch: ArchDescriptor, train_data, test_data, cfg: ImpConfig,

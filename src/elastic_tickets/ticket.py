@@ -10,15 +10,16 @@ The header carries the architecture, metadata, and a tensor index of
 and masks are one byte per entry (0/1). Round trips are bit-exact.
 
 ``save_ticket`` builds the index from shapes alone, then streams each tensor
-from its own buffer while it updates the CRC, so it holds no payload copy; it
-writes a temporary file beside the target and renames it into place, so the
-path holds either the previous file or the complete new one. ``load_ticket``
+from its own buffer while it updates the CRC, so it holds no payload copy.
+Like every artifact file, it is written through ``atomic_open``, so the path
+holds either the previous file or the complete new one. ``load_ticket``
 reads the file once, slices tensors out of it without copying, keeps one
 array per tensor, and rejects a file whose ticket fails ``check_ticket``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -160,6 +161,30 @@ def reinit_ticket(ticket: SparseTicket, rng: Rng) -> SparseTicket:
 # file format
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write to a temporary file beside ``path`` and rename it over ``path`` when
+    the block ends; on any failure the temporary file is removed and ``path`` is
+    untouched. No ``fsync``: this covers a killed process, not a power loss."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}."
+                       f"{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(doc, path) -> None:
+    """``doc`` as indented, key-sorted JSON with a final newline."""
+    with atomic_open(path) as f:
+        f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def save_ticket(ticket: SparseTicket, path) -> None:
     tensors = ([(name, "f32", ticket.rewind_weights[name])
                 for name in sorted(ticket.rewind_weights)]
@@ -182,25 +207,16 @@ def save_ticket(ticket: SparseTicket, path) -> None:
         "tensors": index,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}."
-                       f"{os.getpid()}-{threading.get_ident()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(_MAGIC + struct.pack("<IQ", _VERSION, len(header_bytes)) + header_bytes)
-            crc = 0
-            for _, kind, arr in tensors:
-                stored = (np.ascontiguousarray(arr, dtype=np.float32) if kind == "f32"
-                          else np.ascontiguousarray(arr).astype(np.uint8))
-                buf = memoryview(stored).cast("B")
-                crc = zlib.crc32(buf, crc)
-                f.write(buf)
-            f.write(struct.pack("<I", crc & 0xFFFFFFFF))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as f:
+        f.write(_MAGIC + struct.pack("<IQ", _VERSION, len(header_bytes)) + header_bytes)
+        crc = 0
+        for _, kind, arr in tensors:
+            stored = (np.ascontiguousarray(arr, dtype=np.float32) if kind == "f32"
+                      else np.ascontiguousarray(arr).astype(np.uint8))
+            buf = memoryview(stored).cast("B")
+            crc = zlib.crc32(buf, crc)
+            f.write(buf)
+        f.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
 def load_ticket(path) -> SparseTicket:

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from elastic_tickets import cli, ticket
+from elastic_tickets import cli, ett, prune, ticket
+from elastic_tickets.tensor import Rng
 
 
 def synth_compare_config(name="synth-compare", methods=None, seeds=None, legs=None):
@@ -206,6 +207,48 @@ class TestCompareCommand:
         out = tmp_path / "out"
         assert cli.main(["compare", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
+
+    def test_ett_snip_extra_on_squeeze_leg_rejected_before_training(self, tmp_path,
+                                                                     monkeypatch):
+        config = synth_compare_config(
+            legs=[{"target": {"family": "mlp", "widths": [16, 10, 6, 4]}}],
+            methods=["ett", "ett_snip_extra"])
+        path = write_config(tmp_path, config)
+        monkeypatch.setattr(cli.nn, "train", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mask_mode", ["copy", "permute"])
+    def test_ett_snip_extra_refills_replicas_by_saliency(self, tmp_path, mask_mode):
+        leg = {"target": {"family": "mlp", "widths": [16, 10, 10, 10, 6, 4]},
+               "ordering": "appending", "mask_mode": mask_mode}
+        config = synth_compare_config(legs=[leg], methods=["ett", "ett_snip_extra"], seeds=[1])
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--config", path, "--out", str(out)]) == 0
+        tickets_dir = out / "synth-compare" / "tickets"
+        target_name = "mlp[16,10,10,10,6,4]"
+        ett_t = ticket.load_ticket(tickets_dir / f"{target_name}-ett.eltk")
+        extra = ticket.load_ticket(tickets_dir / f"{target_name}-ett_snip_extra.eltk")
+        # the leg's dense target and saliency batch, rebuilt from the source dense ticket
+        dense_src = ticket.load_ticket(tickets_dir / "mlp[16,10,10,6,4]-dense.eltk")
+        spec = cli._build_transform(dense_src.arch, leg)
+        dense_target = ett.stretch(dense_src, spec, Rng(0))  # permuting all-ones masks is a no-op
+        train_ds, _, _ = cli.resolve_data(config["data"])
+        batch = cli._saliency_batch(train_ds, cli.resolve_train(config["train"], 1), 1)
+        saliency = prune.snip_saliency(spec.target_arch, dense_target.rewind_weights, batch)
+        replicas = tuple(p + "/" for p in ett.replica_prefixes(spec))
+        assert replicas
+        for path, m in extra.mask.items():
+            assert np.count_nonzero(m) == np.count_nonzero(ett_t.mask[path]), path
+            if not path.startswith(replicas):
+                assert np.array_equal(m, ett_t.mask[path]), path
+                continue
+            s = saliency[path].ravel()
+            keep = int(np.count_nonzero(m))
+            order = np.lexsort((np.arange(s.size), -s))  # largest first, ties by position
+            assert set(np.flatnonzero(m.ravel())) == set(order[:keep]), path
 
     def test_methods_without_reference_rejected(self, tmp_path):
         config = synth_compare_config(methods=["random", "reinit"])

@@ -138,8 +138,7 @@ class TestCompare:
     def build_tickets(self, t):
         dense = arch.init_params(t.arch, Rng(3))
         random_t = prune.random_prune(t, Rng(11), dense)
-        reinit_t = prune.match_sparsity("reinit", t, prune.MatchContext(dense_rewind=dense,
-                                                                        rng=Rng(12)))
+        reinit_t = prune.match_sparsity("reinit", t, dense, None, Rng(12))
         return {"imp": t, "random": random_t, "reinit": reinit_t}
 
     def test_row_arity_and_aggregates(self, setup):
@@ -200,6 +199,17 @@ class TestCompare:
                for aug, jobs in ((data.augment_batch, 1), (data.augment_batch, 2), (None, 1))]
         assert run[1] == run[0]
         assert run[2] != run[0]  # augmentation reached the cells
+
+
+def test_failed_csv_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "comparison.csv"
+    path.write_text("previous\n")
+    rows = [evaluation.CompareRow("imp", "a", "b", "synth", 0.5, {1: 0.5, 2: 0.6}),
+            evaluation.CompareRow("ett", "a", "b", "synth", 0.5, {1: 0.5})]
+    with pytest.raises(KeyError):  # the second row has no seed-2 cell
+        evaluation.ComparisonTable(rows, [1, 2]).write_csv(path)
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["comparison.csv"]
 
 
 def test_metrics_csv_schema(tmp_path, setup):

@@ -253,23 +253,20 @@ class TestRandomReinitMatch:
         batch = (train_ds.images[:16], train_ds.labels[:16])
         ref_zeros = ticket.sparsity(ref).zeros
         for method in ("magnitude", "snip", "grasp", "random", "reinit"):
-            ctx = prune.MatchContext(dense_rewind=dense, batch=batch, rng=Rng(7))
-            out = prune.match_sparsity(method, ref, ctx)
+            out = prune.match_sparsity(method, ref, dense, batch, Rng(7))
             assert abs(ticket.sparsity(out).zeros - ref_zeros) <= 1, method
             assert not ticket.check_ticket(out), method
 
     def test_reinit_mask_identical(self, blob_data):
         ref = tiny_mlp_ticket(seed=1, sparsity_target=0.5)
-        ctx = prune.MatchContext(dense_rewind=arch.init_params(ref.arch, Rng(1)), rng=Rng(7))
-        out = prune.match_sparsity("reinit", ref, ctx)
+        out = prune.match_sparsity("reinit", ref, arch.init_params(ref.arch, Rng(1)), None, Rng(7))
         for p in ref.mask:
             assert np.array_equal(out.mask[p], ref.mask[p])
 
     def test_one_shot_magnitude_equals_direct_call(self):
         ref = tiny_mlp_ticket(seed=1, sparsity_target=0.5)
         dense = arch.init_params(ref.arch, Rng(1))
-        ctx = prune.MatchContext(dense_rewind=dense)
-        out = prune.match_sparsity("magnitude", ref, ctx)
+        out = prune.match_sparsity("magnitude", ref, dense, None, None)
         direct = prune.magnitude_prune(dense, ticket.all_ones_mask(ref.arch),
                                        ticket.sparsity(ref).zeros, ref.arch)
         for p in direct:
@@ -278,7 +275,7 @@ class TestRandomReinitMatch:
     def test_unknown_method(self):
         ref = tiny_mlp_ticket()
         with pytest.raises(ConfigError):
-            prune.match_sparsity("synflow", ref, prune.MatchContext(dense_rewind={}))
+            prune.match_sparsity("synflow", ref, {}, None, None)
 
 
 class TestImp:

@@ -254,6 +254,18 @@ class TestStreamedSave:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.eltk"]
 
+    def test_write_json_bytes_and_failure(self, tmp_path):
+        path = tmp_path / "doc.json"
+        doc = {"b": [1.5, None], "a": {"y": "z"}}
+        ticket.write_json(doc, path)
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        with pytest.raises(RuntimeError):
+            with ticket.atomic_open(path) as f:
+                f.write("{")
+                raise RuntimeError("killed mid-write")
+        assert json.loads(path.read_text()) == doc
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
     def test_save_keeps_at_most_one_converted_tensor(self, tmp_path, make):
         t = make("vgg16", "masked")
         largest = max(v.nbytes for v in t.rewind_weights.values())
