@@ -516,6 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         config = load_config(args.config) if args.config else None
         if args.command in ("train", "imp", "compare", "eval", "connectivity", "flops") \
                 and config is None:

@@ -34,11 +34,30 @@ one before it), and a backward whose per-tap GEMMs fall under
 ``_TAP_GEMM_FLOOR`` multiply-adds, or have a single row or column, takes all
 taps in one whole-batch GEMM. dW is never split by rows: each of its entries
 sums over every row.
+
+An eval forward of a conv arch splits the program at its first ``gap`` or
+``flatten`` layer. The conv body runs over chunks of whole images, one
+thread per core: the calling thread and helpers started and joined inside
+the call, so that no thread outlives it into a fork. The bundled OpenBLAS
+runs at one thread for that region, and its count is restored afterwards.
+A chunk is the fewest whole images that give every conv in the body at
+least ``_BLOCK_MIN_ROWS`` GEMM rows and ``_TAP_GEMM_FLOOR`` multiply-adds
+(``_chunk_images``: 32 for the preset ResNets, 256 for VGG), so every chunk
+GEMM stays on the blocked kernel; a short last chunk joins the one before
+it. The chunk outputs are concatenated and the head runs once over the
+whole batch on the calling thread, so its GEMMs are the unchunked ones.
+Under two chunks, without conv layers, with a non-square input or without
+the OpenBLAS thread control, the forward runs the whole batch as one. The
+first threaded eval caps glibc's malloc arenas at one, so that the helpers'
+allocations do not each grow an arena of their own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +179,12 @@ def _image_blocks(n, image_rows, width, macs_per_row):
     block joins the one before it, so a batch under one block is one block.
     """
     rows = max(_BLOCK_MIN_ROWS, _BLOCK_ELEMS // width, -(-_TAP_GEMM_FLOOR // macs_per_row))
-    step = -(-rows // image_rows)
+    return _runs(n, -(-rows // image_rows))
+
+
+def _runs(n, step):
+    """Bounds (b0, b1) of runs of ``step`` images over ``n``; a short last
+    run joins the one before it."""
     starts = [k * step for k in range(max(1, n // step))]
     return list(zip(starts, starts[1:] + [n]))
 
@@ -392,6 +416,89 @@ def _back(tape, dy, grads, need_dx=True):
     return dy
 
 
+# ---------------------------------------------------------------------------
+# eval forward in image chunks (module docstring)
+
+_EVAL_LOCK = threading.Lock()  # one chunked eval at a time sets the BLAS thread count
+
+
+def _chunk_images(body):
+    """Fewest whole images per eval chunk of a layer program, 0 without a conv."""
+    step, stack = 0, list(body)
+    while stack:
+        layer = stack.pop()
+        stack += layer.body + layer.shortcut
+        if layer.op == "conv":
+            rows = layer.side * layer.side
+            step = max(step, -(-_BLOCK_MIN_ROWS // rows),
+                       -(-_TAP_GEMM_FLOOR // (rows * math.prod(layer.shape))))
+    return step
+
+
+def _eval_workers():
+    """Threads of a chunked eval: one per core this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _thread_setup():
+    """The bundled OpenBLAS's (get, set) thread-count calls, or None when
+    numpy links another BLAS. The first call also caps glibc's malloc arenas
+    at one (``M_ARENA_MAX`` is -8)."""
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-8, 1)
+    # the BLAS symbols resolve through numpy's core extension, which links it
+    core = np._core if hasattr(np, "_core") else np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    try:
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _eval_chunks(body, params, x, bounds, bn_updates):
+    """``body`` in eval mode over the image runs ``bounds`` of ``x``, on the
+    calling thread and up to ``_eval_workers() - 1`` helper threads; returns
+    the outputs concatenated in image order. The first chunk reports into
+    ``bn_updates``."""
+    outs = [None] * len(bounds)
+    pending, lock, errors = iter(range(len(bounds))), threading.Lock(), []
+
+    def work():
+        try:
+            while not errors:
+                with lock:
+                    k = next(pending, None)
+                if k is None:
+                    return
+                b0, b1 = bounds[k]
+                outs[k] = _run(body, params, x[b0:b1], "eval", [], bn_updates if k == 0 else {})
+        except BaseException as e:  # noqa: BLE001 - re-raised on the calling thread
+            errors.append(e)
+
+    helpers = []
+    try:
+        for _ in range(min(_eval_workers(), len(bounds)) - 1):
+            t = threading.Thread(target=work)
+            t.start()
+            helpers.append(t)
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate(outs)
+
+
 def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "train"):
     """Run the network; returns (logits, cache) where cache drives backward.
 
@@ -417,7 +524,23 @@ def forward(arch: ArchDescriptor, params: dict, x: np.ndarray, mode: str = "trai
         raise ShapeError(f"vgg input spatial dims must be divisible by {2 ** len(arch.stages)}")
     tape: list = []
     bn_updates: dict[str, np.ndarray] = {}
-    logits = _run(prog, params, x, mode, tape, bn_updates)
+    split = next((k for k, layer in enumerate(prog) if layer.op in ("gap", "flatten")), len(prog))
+    step = _chunk_images(prog[:split]) if mode == "eval" else 0
+    # the chunk rule reads square conv sides from the program
+    blas = (_thread_setup() if step and len(x) >= 2 * step
+            and arch.input_shape[1] == arch.input_shape[2] else None)
+    if blas is None:
+        logits = _run(prog, params, x, mode, tape, bn_updates)
+    else:
+        get_threads, set_threads = blas
+        with _EVAL_LOCK:
+            threads = get_threads()
+            set_threads(1)
+            try:
+                h = _eval_chunks(prog[:split], params, x, _runs(len(x), step), bn_updates)
+            finally:
+                set_threads(threads)
+        logits = _run(prog[split:], params, h, mode, tape, bn_updates)
     return logits, {"mode": mode, "tape": tape, "bn_updates": bn_updates}
 
 

@@ -208,6 +208,16 @@ class TestCompareCommand:
         assert cli.main(["compare", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected_before_loading_data(self, tmp_path, monkeypatch, jobs):
+        path = write_config(tmp_path, synth_compare_config())
+        monkeypatch.setattr(cli, "resolve_data", lambda *a, **k: pytest.fail("loaded data"))
+        monkeypatch.setattr(cli.nn, "train", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--config", path, "--out", str(out),
+                         "--jobs", jobs]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_ett_snip_extra_on_squeeze_leg_rejected_before_training(self, tmp_path,
                                                                      monkeypatch):
         config = synth_compare_config(

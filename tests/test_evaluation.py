@@ -1,10 +1,12 @@
 import csv
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
 
-from conftest import tiny_mlp_ticket
+from conftest import tiny_mlp_ticket, tiny_resnet_ticket
 from elastic_tickets import arch, data, evaluation, nn, prune, ticket
 from elastic_tickets.errors import IncompatibilityError, UsageError
 from elastic_tickets.tensor import Rng
@@ -199,6 +201,46 @@ class TestCompare:
                for aug, jobs in ((data.augment_batch, 1), (data.augment_batch, 2), (None, 1))]
         assert run[1] == run[0]
         assert run[2] != run[0]  # augmentation reached the cells
+
+    def test_forked_workers_run_chunked_evals(self, monkeypatch, tmp_path):
+        # a 64-image test set is two 32-image eval chunks of a 32x32 ResNet,
+        # run on helper threads in the parent before the fork and in each worker
+        t = tiny_resnet_ticket(seed=4, input_side=32)
+        tickets = {"imp": t, "random": prune.random_prune(t, Rng(5))}
+        rng = Rng(6)
+        images = rng.normal64("init", 64 * 3 * 32 * 32).reshape(64, 3, 32, 32).astype(np.float32)
+        labels = np.array([randint_below(rng, "init", 10) for _ in range(64)], dtype=np.int64)
+        train_ds = data.Dataset("synth-conv", "train", images[:16], labels[:16])
+        test_ds = data.Dataset("synth-conv", "test", images, labels)
+        cfg = nn.TrainConfig(epochs=1, batch_size=16, lr=0.01, momentum=0.9, seed=7)
+        log, eval_chunks = tmp_path / "chunked-evals", nn._eval_chunks
+
+        def logged(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return eval_chunks(*args)
+
+        monkeypatch.setattr(nn, "_eval_workers", lambda: 2)
+        monkeypatch.setattr(nn, "_eval_chunks", logged)
+
+        def hung(signum, frame):
+            raise TimeoutError("compare with jobs=2 hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            seq = evaluation.compare(tickets, "imp", train_ds, test_ds, cfg, seeds=[1, 2])
+            par = evaluation.compare(tickets, "imp", train_ds, test_ds, cfg, seeds=[1, 2],
+                                     jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert par.to_json() == seq.to_json()
+        # each of the four cells ends in a chunked eval: in the parent for
+        # jobs=1, in a forked worker for jobs=2
+        pids = log.read_text().split()
+        assert pids[:4] == [str(os.getpid())] * 4
+        assert len(pids) == 8 and str(os.getpid()) not in pids[4:]
 
 
 def test_failed_csv_write_keeps_the_previous_file(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -510,20 +512,34 @@ def test_eval_forward_never_builds_a_whole_batch_patch_matrix(monkeypatch):
     params = arch.init_params(a, Rng(57))
     x = Rng(58).normal64("init", 500 * 3 * 32 * 32).reshape(500, 3, 32, 32).astype(np.float32)
     want, _ = nn.forward(a, params, x, "eval")
+    # the spy's call list needs one thread; the chunks are the same on any count
+    monkeypatch.setattr(nn, "_eval_workers", lambda: 1)
     convs = spy_conv_blocks(monkeypatch)
     got, _ = nn.forward(a, params, x, "eval")
     assert np.array_equal(got, want)
-    assert len(convs) == 9
-    for filters, blocks in convs:
-        images, rows, widths = zip(*blocks)
-        image_rows, width = rows[0] // images[0], widths[0]
-        # the fewest whole images that hold the block rule's rows
-        step = -(-block_rows(width, filters) // image_rows)
-        assert sum(images) == 500 and len(blocks) == max(1, 500 // step)
-        assert all(i == step for i in images[:-1])
-        assert images[-1] < 2 * step  # a short tail joins the block before it
-        # only the 8x8 1x1 shortcut (32 000 rows of width 32) is under two blocks
-        assert len(blocks) > 1 or (image_rows, width) == (64, 32)
+    # the eval chunk rule: the fewest whole images giving every conv 1024
+    # GEMM rows and 2**22 multiply-adds
+    image_rows = [blocks[0][1] // blocks[0][0] for _, blocks in convs[:9]]
+    macs = [r * blocks[0][2] * f for r, (f, blocks) in zip(image_rows, convs[:9])]
+    chunk = max(max(-(-1024 // r), -(-(1 << 22) // m)) for r, m in zip(image_rows, macs))
+    assert chunk == 32
+    chunks = [32] * 14 + [52]  # a 20-image tail joins the last chunk
+    assert len(convs) == 9 * len(chunks)
+    for k in range(9):  # the calls of one conv, chunk by chunk
+        calls = convs[k::9]
+        assert [sum(b[0] for b in blocks) for _, blocks in calls] == chunks
+        for (filters, blocks), n in zip(calls, chunks):
+            images, rows, widths = zip(*blocks)
+            assert rows[0] // images[0] == image_rows[k] and set(widths) == {widths[0]}
+            width = widths[0]
+            # the fewest whole images that hold the block rule's rows
+            step = -(-block_rows(width, filters) // image_rows[k])
+            assert sum(images) == n and len(blocks) == max(1, n // step)
+            assert all(i == step for i in images[:-1])
+            assert images[-1] < 2 * step  # a short tail joins the block before it
+    # in a 32-image chunk, the input conv, the 8x8 stride-2 conv and both 1x1
+    # shortcuts are one block; the other 3x3 convs still split
+    assert [len(blocks) for _, blocks in convs[:9]] == [1, 8, 8, 2, 4, 1, 1, 2, 1]
 
 
 def test_backward_builds_no_patch_matrix(monkeypatch):
@@ -684,6 +700,147 @@ def test_resnet_eval_peak_stays_under_five_stage0_activations():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 500 * 32 * 32 * 16 * 4
+
+
+# ---------------------------------------------------------------------------
+# eval forward in image chunks
+
+
+def numpy_params(a, seed):
+    """He-scaled weights and spread BN stats from numpy's generator: the
+    seeded init of a VGG's 20M weights takes seconds."""
+    g = np.random.default_rng(seed)
+    params = {}
+    for s in arch.param_specs(a):
+        if s.kind in ("conv_weight", "dense_weight"):
+            fan_in = int(np.prod(s.shape[1:])) if s.kind == "conv_weight" else s.shape[0]
+            v = g.standard_normal(s.shape) * np.sqrt(2.0 / fan_in)
+        elif s.kind in ("bn_gamma", "bn_rvar"):
+            v = g.uniform(0.5, 1.5, s.shape)
+        else:
+            v = g.standard_normal(s.shape) * 0.1
+        params[s.path] = v.astype(np.float32)
+    return params
+
+
+def spy_eval_chunks(monkeypatch):
+    """Record the chunk bounds of every chunked eval, on two threads even
+    on a one-core machine."""
+    chunked, eval_chunks = [], nn._eval_chunks
+    monkeypatch.setattr(nn, "_eval_workers", lambda: 2)
+    monkeypatch.setattr(nn, "_eval_chunks",
+                        lambda *args: chunked.append(args[3]) or eval_chunks(*args))
+    return chunked
+
+
+def assert_eval_bit_equal(a, params, x, want, want_bn, chunked, bounds):
+    """``nn.forward`` in eval mode gives the reference logits ``want`` and
+    bn_updates ``want_bn``, through the chunk ``bounds`` (None: unchunked)."""
+    del chunked[:]
+    got, cache = nn.forward(a, params, x, "eval")
+    assert chunked == ([bounds] if bounds else [])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert cache["tape"] == [] and cache["bn_updates"].keys() == want_bn.keys()
+    assert all(cache["bn_updates"][k] is want_bn[k] for k in want_bn)
+
+
+def chunk_batches(chunk):
+    """(images, chunk bounds): under two chunks, exactly two, and two with a
+    3-image tail."""
+    return [(2 * chunk - 1, None), (2 * chunk, [(0, chunk), (chunk, 2 * chunk)]),
+            (2 * chunk + 3, [(0, chunk), (chunk, 2 * chunk + 3)])]
+
+
+@pytest.mark.parametrize("depth", [8, 14, 20, 32, 56])
+def test_resnet_chunked_eval_bit_equal_to_one_whole_batch_run(depth, monkeypatch):
+    a = arch.derive_arch("resnet_cifar", depth)
+    prog = arch.program(a)
+    assert [layer.op for layer in prog[-2:]] == ["gap", "dense"]
+    assert nn._chunk_images(prog[:-2]) == 32
+    params = numpy_params(a, 91)
+    chunked = spy_eval_chunks(monkeypatch)
+    x = np.random.default_rng(92).standard_normal((67, *a.input_shape), np.float32)
+    for n, bounds in chunk_batches(32):
+        want_bn: dict = {}
+        want = nn._run(prog, params, x[:n], "eval", [], want_bn)
+        assert_eval_bit_equal(a, params, x[:n], want, want_bn, chunked, bounds)
+
+
+@pytest.mark.parametrize("depth", [13, 16, 19])
+def test_vgg_chunked_eval_bit_equal_to_one_whole_batch_run(depth, monkeypatch):
+    # both heads share the conv body and its weights, so one whole-batch run
+    # of the body serves both: _run passes nothing from layer to layer but h
+    heads = [arch.derive_arch("vgg_cifar", depth, head_layers=h) for h in (1, 3)]
+    params = [numpy_params(a, 93) for a in heads]  # the body's draws come first
+    progs = [arch.program(a) for a in heads]
+    split = next(k for k, layer in enumerate(progs[0]) if layer.op == "flatten")
+    assert progs[0][:split] == progs[1][:split]
+    body = {k: v for k, v in params[0].items() if not k.startswith("output/")}
+    assert all(np.array_equal(v, params[1][k]) for k, v in body.items())
+    params[1].update(body)  # one set of arrays, so bn_updates can be checked by identity
+    assert nn._chunk_images(progs[0][:split]) == 256
+    chunked = spy_eval_chunks(monkeypatch)
+    x = np.random.default_rng(94).standard_normal((515, *heads[0].input_shape), np.float32)
+    # three images stand for "under two chunks": a VGG pass of 511 costs seconds
+    for n, bounds in [(3, None), *chunk_batches(256)[1:]]:
+        body_bn: dict = {}
+        h = nn._run(progs[0][:split], params[0], x[:n], "eval", [], body_bn)
+        for a, prog, p in zip(heads, progs, params):
+            want_bn = dict(body_bn)
+            want = nn._run(prog[split:], p, h, "eval", [], want_bn)
+            assert_eval_bit_equal(a, p, x[:n], want, want_bn, chunked, bounds)
+
+
+def test_chunked_eval_hands_each_chunk_to_one_thread(monkeypatch):
+    # more threads than cores, switching often: a chunk taken twice or
+    # never leaves its slot wrong or empty
+    a = arch.derive_arch("resnet_cifar", 8)
+    params = numpy_params(a, 95)
+    x = np.random.default_rng(96).standard_normal((5 * 32 + 7, *a.input_shape), np.float32)
+    want = nn._run(arch.program(a), params, x, "eval", [], {})
+    monkeypatch.setattr(nn, "_eval_workers", lambda: 8)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got, _ = nn.forward(a, params, x, "eval")
+            assert np.array_equal(got, want)
+            assert threading.active_count() == threads  # no helper outlives the call
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_chunked_eval_restores_the_blas_thread_count(monkeypatch):
+    blas = nn._thread_setup()
+    if blas is None:
+        pytest.skip("numpy links a BLAS without OpenBLAS's thread control")
+    get_threads, _ = blas
+    before = get_threads()
+    monkeypatch.setattr(nn, "_eval_workers", lambda: 2)
+    a = arch.derive_arch("resnet_cifar", 8)
+    params = arch.init_params(a, Rng(93))
+    x = Rng(94).normal64("init", 64 * 3 * 32 * 32).reshape(64, 3, 32, 32).astype(np.float32)
+    inside, conv_f = [], nn._conv_f
+
+    def counting_conv(*args):
+        inside.append(get_threads())
+        return conv_f(*args)
+
+    monkeypatch.setattr(nn, "_conv_f", counting_conv)
+    nn.forward(a, params, x, "eval")
+    assert set(inside) == {1} and get_threads() == before
+
+    def failing_conv(x, *args):
+        if len(inside) == 12:  # a conv call partway through the eval
+            raise FloatingPointError("chunk failed")
+        return counting_conv(x, *args)
+
+    inside.clear()
+    monkeypatch.setattr(nn, "_conv_f", failing_conv)
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        nn.forward(a, params, x, "eval")
+    assert get_threads() == before
+    assert not nn._EVAL_LOCK.locked()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Training steps per second of the preset models, for one or more source trees.
+"""Training steps and eval passes per second of the preset models, for one or
+more source trees.
 
     python3 tools/step_bench.py OLD/src NEW/src
     python3 tools/step_bench.py --out BENCH_step.json OLD/src NEW/src
@@ -8,13 +9,15 @@ batch, with every weight kept (an all-ones mask): MLP-2 at batch 128 on
 MNIST-shaped input, and ResNet-14 and ResNet-20 at batch 100 and VGG-16 at
 batch 128 on CIFAR-shaped input, each with its preset's optimizer settings
 (VGG-16 has no preset and takes the CIFAR ones). A VGG-16 step takes seconds
-and about 1.2 GB, so it times few steps. Each source tree is a directory
+and about 1.2 GB, so it times few steps. An eval pass (``EVALS``) is one
+eval-mode ``nn.forward`` of 500 CIFAR-shaped images, the batch of
+``nn.accuracy``, through ResNet-8, -14 and -20. Each source tree is a directory
 holding the ``elastic_tickets`` package, and is named in the output as it was
 given. Each of ``ROUNDS`` rounds measures every model on every tree in a
 fresh interpreter, with the tree order reversed from one
 round to the next, so that drift in the machine's speed falls on both sides
 alike. A measurement runs two warm-up steps, then times the model's fixed
-step count (``MODELS``).
+step count (``MODELS``), or two warm-up passes and then the timed passes.
 Prints one line per measurement and writes the rounds, medians and
 quartiles, with the CPU model and the BLAS numpy was built against, to
 ``--out`` as JSON.
@@ -40,16 +43,36 @@ MODELS = {
     "resnet20": ("resnet_cifar", 20, 100, (3, 32, 32), 1e-4, 6),
     "vgg16": ("vgg_cifar", 16, 128, (3, 32, 32), 1e-4, 3),
 }
+# name: (resnet_cifar depth, images, timed passes)
+EVALS = {
+    "resnet8_eval": (8, 500, 6),
+    "resnet14_eval": (14, 500, 4),
+    "resnet20_eval": (20, 500, 3),
+}
 WARMUP_STEPS = 2
 # Ten rounds, so that a difference is seen on ten interleaved pairs.
 ROUNDS = 10
 
 
 def measure(model: str) -> float:
-    """Steps per second of one model, on the elastic_tickets importable here."""
+    """Steps (or eval passes) per second of one model, on the elastic_tickets
+    importable here."""
     from elastic_tickets import arch, nn
     from elastic_tickets.tensor import Rng
 
+    if model in EVALS:
+        depth, images, passes = EVALS[model]
+        a = arch.derive_arch("resnet_cifar", depth)
+        rng = Rng(7)
+        params = arch.init_params(a, rng)
+        x = rng.normal64("synth-data", images * 3 * 32 * 32)
+        x = x.astype(np.float32).reshape(images, 3, 32, 32)
+        t0 = 0.0
+        for p in range(WARMUP_STEPS + passes):
+            if p == WARMUP_STEPS:
+                t0 = time.perf_counter()
+            nn.forward(a, params, x, "eval")
+        return passes / (time.perf_counter() - t0)
     family, depth, batch, shape, wd, steps = MODELS[model]
     a = arch.derive_arch(family, depth)
     rng = Rng(7)
@@ -111,7 +134,7 @@ def summary(runs: list[float]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_step.json")
-    parser.add_argument("--measure", choices=sorted(MODELS), help=argparse.SUPPRESS)
+    parser.add_argument("--measure", choices=sorted({**MODELS, **EVALS}), help=argparse.SUPPRESS)
     parser.add_argument("src", nargs="*", help="source directories holding elastic_tickets")
     args = parser.parse_args(argv)
     if args.measure:
@@ -119,16 +142,18 @@ def main(argv=None) -> int:
         return 0
     if not args.src:
         parser.error("give at least one source directory")
-    runs = {model: {src: [] for src in args.src} for model in MODELS}
+    models = [*MODELS, *EVALS]
+    runs = {model: {src: [] for src in args.src} for model in models}
     for r in range(ROUNDS):
         order = args.src if r % 2 == 0 else args.src[::-1]
-        for model in MODELS:
+        for model in models:
             for src in order:
                 rate = run_child(src, model)
                 runs[model][src].append(rate)
-                print(f"round {r} {model} {src}: {rate:.2f} steps/s", flush=True)
+                print(f"round {r} {model} {src}: {rate:.2f} per s", flush=True)
     doc = {
-        "metric": "training steps per second (loss_and_grad + sgd_step), higher is better",
+        "metric": ("training steps per second (loss_and_grad + sgd_step), or eval passes "
+                   "per second (one eval-mode forward), higher is better"),
         "environment": {"nproc": len(os.sched_getaffinity(0)), "cpu": cpu_model(),
                         "machine": platform.machine(), "python": platform.python_version(),
                         "numpy": np.__version__, "blas": blas()},
@@ -140,13 +165,18 @@ def main(argv=None) -> int:
                            "trees": {src: summary(runs[model][src]) for src in args.src}}
                    for model, spec in MODELS.items()},
     }
+    doc["models"].update(
+        {model: {"family": "resnet_cifar", "depth": depth, "eval_images": images,
+                 "timed_passes": passes,
+                 "trees": {src: summary(runs[model][src]) for src in args.src}}
+         for model, (depth, images, passes) in EVALS.items()})
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    for model in MODELS:
+    for model in models:
         medians = ", ".join(f"{src} {doc['models'][model]['trees'][src]['median']:.2f}"
                             for src in args.src)
-        print(f"{model} median steps/s: {medians}")
+        print(f"{model} median per s: {medians}")
     return 0
 
 
